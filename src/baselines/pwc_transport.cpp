@@ -28,10 +28,8 @@ void PwcTransport::on_connection_created(transport::Connection& conn) {
   c.swift = std::make_unique<SwiftCc>(cfg_.swift, c.base_rtt, tokens / cfg_.weight_unit_bps);
   c.clove = std::make_unique<CloveSelector>(cfg_.clove, std::max<std::size_t>(1, c.candidates.size()),
                                             rng().fork(c.pair.key()));
-  const std::uint64_t entity = next_entity_++;
-  by_entity_[entity] = &c;
   wfq_.set_tenant_weight(c.tenant, vms().tenant_guarantee(c.tenant).bits_per_sec());
-  wfq_.add(c.tenant, entity);
+  wfq_.add(c.tenant, c.index + 1);
 }
 
 bool PwcTransport::can_send(const transport::Connection& conn) const {
@@ -69,18 +67,26 @@ void PwcTransport::select_path(transport::Connection& conn) {
   c.path_idx = c.clove->select(simulator().now());
 }
 
-transport::Connection* PwcTransport::next_sender() {
+void PwcTransport::arm(transport::Connection& conn) { wfq_.arm(conn.index + 1); }
+
+transport::Connection* PwcTransport::next_sender(TimeNs& release) {
   // PicNIC's sender-side bandwidth envelope: WFQ across tenants.
-  const auto sendable = [this](std::uint64_t entity) -> std::int32_t {
-    auto it = by_entity_.find(entity);
-    if (it == by_entity_.end()) return 0;
-    transport::Connection* c = it->second;
-    if (!c->has_backlog() || !can_send(*c) || earliest_send(*c) > simulator().now()) return 0;
-    return c->next_wire_size(options().mtu_payload, sim::kDataHeaderBytes);
+  const TimeNs now = simulator().now();
+  const auto sendable = [this, now, &release](std::uint64_t entity) -> std::int32_t {
+    const transport::Connection& c = *conn_order_[entity - 1];
+    if (!c.has_backlog() || !can_send(c)) return 0;
+    // Paced: time alone releases it, so it stays armed.
+    if (const TimeNs at = earliest_send(c); at > now) {
+      release = std::min(release, at);
+      return -1;
+    }
+    return c.next_wire_size(options().mtu_payload, sim::kDataHeaderBytes);
   };
+#ifndef NDEBUG
+  UFAB_CHECK_MSG(wfq_.audit(sendable) == 0, "PWC: a connection that can send was never armed");
+#endif
   const std::uint64_t entity = wfq_.next(sendable);
-  if (entity == 0) return nullptr;
-  return by_entity_.at(entity);
+  return entity == 0 ? nullptr : conn_order_[entity - 1];
 }
 
 void PwcTransport::on_data_received(const sim::Packet& pkt) {

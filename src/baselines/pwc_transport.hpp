@@ -61,16 +61,16 @@ class PwcTransport : public transport::TransportStack {
   void on_data_received(const sim::Packet& pkt) override;
   void on_control_packet(sim::PacketPtr pkt) override;
   void select_path(transport::Connection& conn) override;
-  transport::Connection* next_sender() override;
+  void arm(transport::Connection& conn) override;
+  transport::Connection* next_sender(TimeNs& release) override;
 
  private:
   void rcm_tick();
   void ensure_rcm_timer();
 
   PwcConfig cfg_;
+  /// Tenant WFQ; a connection's entity is 1 + its index in conn_order_.
   edge::WfqScheduler wfq_;
-  std::unordered_map<std::uint64_t, transport::Connection*> by_entity_;
-  std::uint64_t next_entity_ = 1;
 
   /// Receiver-side arrival accounting per incoming pair.
   struct Arrival {

@@ -59,6 +59,7 @@ Connection& TransportStack::connection(VmPairId pair, TenantId tenant) {
   conn->base_rtt = net_.base_rtt(host_, conn->dst_host);
   assign_candidate_paths(*conn);
   Connection& ref = *conn;
+  conn->index = static_cast<std::uint32_t>(conn_order_.size());
   conn_order_.push_back(conn.get());
   conns_.emplace(pair, std::move(conn));
   on_connection_created(ref);
@@ -109,6 +110,7 @@ std::uint64_t TransportStack::send_message(Message msg) {
   conn.pending_msgs[msg.id] = Connection::PendingMessage{msg.size_bytes, msg};
   conn.sendq.push_back(msg);
   if (was_idle) on_demand_arrived(conn);
+  arm(conn);
   kick();
   return msg.id;
 }
@@ -130,28 +132,27 @@ void TransportStack::kick_at(TimeNs t) {
 
 void TransportStack::send_control_packet(PacketPtr pkt) { host().send_control(std::move(pkt)); }
 
-Connection* TransportStack::next_sender() {
+Connection* TransportStack::next_sender(TimeNs& release) {
   if (conn_order_.empty()) return nullptr;
   const TimeNs now = sim_.now();
   for (std::size_t i = 0; i < conn_order_.size(); ++i) {
     rr_cursor_ = (rr_cursor_ + 1) % conn_order_.size();
     Connection* c = conn_order_[rr_cursor_];
-    if (c->has_backlog() && can_send(*c) && earliest_send(*c) <= now) return c;
+    if (!c->has_backlog() || !can_send(*c)) continue;
+    const TimeNs at = earliest_send(*c);
+    if (at <= now) return c;
+    release = std::min(release, at);
   }
   return nullptr;
 }
 
 PacketPtr TransportStack::pull() {
-  Connection* c = next_sender();
+  TimeNs release = TimeNs::max();
+  Connection* c = next_sender(release);
   if (c == nullptr) {
     // Nothing sendable now: if some connection is only pacing-blocked,
     // schedule a wake-up at its release time.
-    TimeNs wake = TimeNs::max();
-    for (Connection* conn : conn_order_) {
-      if (!conn->has_backlog() || !can_send(*conn)) continue;
-      wake = std::min(wake, earliest_send(*conn));
-    }
-    if (wake != TimeNs::max() && wake > sim_.now()) kick_at(wake);
+    if (release != TimeNs::max() && release > sim_.now()) kick_at(release);
     return nullptr;
   }
   return c->rtx_queue.empty() ? make_data_packet(*c) : make_rtx_packet(*c);
@@ -276,6 +277,7 @@ void TransportStack::scan_for_timeouts() {
                 return a.offset < b.offset;
               });
     for (auto& o : expired) conn->rtx_queue.push_back(std::move(o));
+    if (!expired.empty()) arm(*conn);
     if (!conn->outstanding.empty() || !conn->rtx_queue.empty()) any_outstanding = true;
   }
   if (any_outstanding) ensure_rtx_scan();
@@ -390,6 +392,7 @@ void TransportStack::handle_ack(PacketPtr pkt) {
     }
   }
   on_ack(conn, *pkt, rtt);
+  arm(conn);
   kick();
 }
 

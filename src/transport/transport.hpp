@@ -62,6 +62,7 @@ struct Connection {
 
   VmPairId pair;
   TenantId tenant;
+  std::uint32_t index = 0;  ///< Position in TransportStack::connections().
   HostId src_host;
   HostId dst_host;
   TimeNs base_rtt;
@@ -199,12 +200,19 @@ class TransportStack : public sim::HostStack {
   virtual void on_data_received(const sim::Packet& pkt) { (void)pkt; }
   /// A connection with pending data went idle->active (new demand).
   virtual void on_demand_arrived(Connection& conn) { (void)conn; }
+  /// `conn` may have become sendable: its backlog grew (new message, RTO
+  /// requeue) or an ACK shrank its inflight and fed its congestion control.
+  /// Schedulers that visit only armed connections re-arm it here.
+  virtual void arm(Connection& conn) { (void)conn; }
   /// Re-chooses the connection's path just before a data packet is built
   /// (flowlet selectors override this). Default: keep the current path.
   virtual void select_path(Connection& conn) { (void)conn; }
-  /// Scheduler: next connection allowed to send, or nullptr. The default is
-  /// round-robin over connections that have backlog and pass can_send().
-  virtual Connection* next_sender();
+  /// Scheduler: next connection allowed to send, or nullptr. A pass that
+  /// finds nothing lowers `release` to the earliest earliest_send() among the
+  /// backlogged, admissible connections it saw, so the NIC wakes when pacing
+  /// frees one. The default is round-robin over connections that have
+  /// backlog and pass can_send().
+  virtual Connection* next_sender(TimeNs& release);
 
   // --- services for subclasses ---
   [[nodiscard]] topo::Network& network() { return net_; }

@@ -116,11 +116,8 @@ void EdgeAgent::on_connection_created(transport::Connection& conn) {
   c.w_stage = c.window;
   c.epoch_started = simulator().now();
 
-  const std::uint64_t entity = next_entity_++;
-  by_entity_[entity] = &c;
-  entity_of_pair_[c.pair.key()] = entity;
   wfq_.set_tenant_weight(c.tenant, vms().tenant_guarantee(c.tenant).bits_per_sec());
-  wfq_.add(c.tenant, entity);
+  wfq_.add(c.tenant, c.index + 1);
   ensure_token_timer();
 }
 
@@ -137,17 +134,24 @@ bool EdgeAgent::can_send(const transport::Connection& conn) const {
   return c.window - static_cast<double>(c.inflight_bytes) >= static_cast<double>(next) / 2.0;
 }
 
-transport::Connection* EdgeAgent::next_sender() {
-  const auto sendable = [this](std::uint64_t entity) -> std::int32_t {
-    auto it = by_entity_.find(entity);
-    if (it == by_entity_.end()) return 0;
-    UfabConnection* c = it->second;
-    if (!c->has_backlog() || !can_send(*c)) return 0;
-    return c->next_wire_size(options().mtu_payload, sim::kDataHeaderBytes);
+void EdgeAgent::arm(transport::Connection& conn) { wfq_.arm(conn.index + 1); }
+
+transport::Connection* EdgeAgent::next_sender(TimeNs& release) {
+  (void)release;  // µFAB-E admits by window, never by pacing
+  const TimeNs now = simulator().now();
+  const auto sendable = [this, now](std::uint64_t entity) -> std::int32_t {
+    const auto& c = static_cast<const UfabConnection&>(*conn_order_[entity - 1]);
+    if (!c.has_backlog()) return 0;
+    // Reorder-free migration gate: time alone reopens it, so stay armed.
+    if (now < c.data_blocked_until) return -1;
+    if (!can_send(c)) return 0;
+    return c.next_wire_size(options().mtu_payload, sim::kDataHeaderBytes);
   };
+#ifndef NDEBUG
+  UFAB_CHECK_MSG(wfq_.audit(sendable) == 0, "uFAB-E: a VM pair that can send was never armed");
+#endif
   const std::uint64_t entity = wfq_.next(sendable);
-  if (entity == 0) return nullptr;
-  return by_entity_.at(entity);
+  return entity == 0 ? nullptr : conn_order_[entity - 1];
 }
 
 void EdgeAgent::on_data_sent(transport::Connection& conn, const sim::Packet& pkt) {
@@ -189,6 +193,7 @@ void EdgeAgent::on_demand_arrived(transport::Connection& conn) {
       !c.scouting) {
     start_scouting(c, /*include_current=*/true);
   }
+  arm(c);
 }
 
 double EdgeAgent::window_floor(const UfabConnection& c) const {
@@ -596,6 +601,7 @@ void EdgeAgent::handle_data_response(UfabConnection& c, const sim::Packet& pkt) 
       schedule_probe_floor(c);
     }
   }
+  arm(c);
   kick();
 }
 
@@ -717,6 +723,7 @@ void EdgeAgent::migrate_to(UfabConnection& c, std::int32_t path_idx) {
   }
   c.probe_outstanding = false;
   send_probe(c);
+  arm(c);
 }
 
 void EdgeAgent::send_finish_probe(UfabConnection& c, std::int32_t path_idx,

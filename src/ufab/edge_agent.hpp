@@ -206,7 +206,8 @@ class EdgeAgent : public transport::TransportStack {
   void on_data_sent(transport::Connection& conn, const sim::Packet& pkt) override;
   void on_demand_arrived(transport::Connection& conn) override;
   void on_control_packet(sim::PacketPtr pkt) override;
-  transport::Connection* next_sender() override;
+  void arm(transport::Connection& conn) override;
+  transport::Connection* next_sender(TimeNs& release) override;
 
  private:
   // --- probing ---
@@ -265,10 +266,8 @@ class EdgeAgent : public transport::TransportStack {
   std::unordered_map<std::uint64_t, PendingFinish> pending_finishes_;
 
   EdgeConfig cfg_;
+  /// VM-pair queues; a connection's entity is 1 + its index in conn_order_.
   WfqScheduler wfq_;
-  std::unordered_map<std::uint64_t, UfabConnection*> by_entity_;  // WFQ entity -> conn
-  std::uint64_t next_entity_ = 1;
-  std::unordered_map<std::int64_t, std::uint64_t> entity_of_pair_;  // pair key -> entity
 
   /// Receiver-side incoming-pair state for token admission.
   struct IncomingPair {

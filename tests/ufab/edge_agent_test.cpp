@@ -4,6 +4,9 @@
 // guarantee, work conservation, and bounded queueing, plus path migration.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "src/faults/fault_plane.hpp"
 #include "src/harness/fabric.hpp"
 #include "src/topo/builders.hpp"
 #include "src/ufab/edge_agent.hpp"
@@ -239,6 +242,86 @@ TEST(UfabIntegration, ProbeOverheadIsBounded) {
                           static_cast<double>(conn->bytes_sent_total);
   EXPECT_LT(overhead, 0.04);
   EXPECT_GT(e.probes_sent(), 100);
+}
+
+TEST(UfabIntegration, EveryMessageCompletesThroughEveryArmSite) {
+  // The NIC's WFQ visits only armed VM pairs, so a pair that could send but
+  // was never re-armed sits backlogged forever.  This run passes through
+  // every arm site — new demand, ACKs, RTO requeues under wire loss, window
+  // growth on probe responses, and migration under reorder-free migration's
+  // time gate — across tenants on several WFQ levels, and every message
+  // must still complete.
+  EdgeConfig cfg;
+  cfg.reorder_free_migration = true;
+  UfabWorld w([](sim::Simulator& s) { return topo::make_leaf_spine(s, 2, 2, 4); }, cfg);
+  auto& vms = w.fab.vms();
+  // 1, 2 and 4 Gbps guarantees land on three different WFQ levels.
+  const TenantId tenants[] = {vms.add_tenant("A", 1_Gbps), vms.add_tenant("B", 2_Gbps),
+                              vms.add_tenant("C", 4_Gbps)};
+  std::vector<VmPairId> pairs;
+  for (int src = 0; src < 4; ++src) {
+    for (int k = 0; k < 3; ++k) {
+      const TenantId t = tenants[(src + k) % 3];
+      const HostId dst{4 + (src + k) % 4};
+      pairs.push_back(VmPairId{vms.add_vm(t, HostId{src}), vms.add_vm(t, dst)});
+    }
+  }
+
+  // Wire loss on one sender's uplink forces RTO requeues.
+  faults::FaultPlane plane(w.fab, /*seed=*/5);
+  const LinkId uplink = w.fab.net().paths(HostId{0}, HostId{4})[0].links[0];
+  plane.loss(uplink, 0.02, faults::LossClass::kDataOnly, 0_ms, 30_ms).arm();
+
+  // Messages of mixed sizes arrive over 30 ms: some to idle pairs (new
+  // demand), some on top of a backlog.
+  std::set<std::uint64_t> outstanding;
+  std::size_t sent = 0;
+  w.fab.add_delivery_listener(
+      [&](const transport::Message& m, TimeNs) { outstanding.erase(m.id); });
+  Rng rng(11);
+  for (int i = 0; i < 240; ++i) {
+    const VmPairId pair = pairs[rng.below(pairs.size())];
+    const auto bytes = static_cast<std::int64_t>(rng.range(2'000, 200'000));
+    const TimeNs at{static_cast<std::int64_t>(rng.below(30'000'000))};
+    w.fab.sim().at(at, [&, pair, bytes] {
+      outstanding.insert(w.fab.send(pair, bytes));
+      ++sent;
+    });
+  }
+
+  // At 10 ms, take down the spine the first pair uses: its pairs lose probes,
+  // migrate, and wait out one RTT of reorder-free gating on the new path.
+  w.fab.sim().at(10_ms, [&] {
+    auto* conn = w.edge(HostId{0}).ufab_connection(pairs[0]);
+    ASSERT_NE(conn, nullptr);
+    const auto& links = conn->current_path().links;
+    for (std::size_t i = 1; i + 1 < links.size(); ++i) {
+      w.fab.net().link(links[i])->set_down(true);
+    }
+  });
+  w.fab.sim().run_until(300_ms);
+
+  EXPECT_EQ(sent, 240u);
+  EXPECT_TRUE(outstanding.empty()) << outstanding.size() << " messages never completed";
+  // Nothing is left queued or in flight at any sender.
+  std::int64_t migrations = 0;
+  std::int64_t retransmits = 0;
+  bool gated = false;
+  for (int h = 0; h < 4; ++h) {
+    EdgeAgent& e = w.edge(HostId{h});
+    migrations += e.migrations();
+    retransmits += e.retransmits();
+    for (const transport::Connection* c : e.connections()) {
+      EXPECT_FALSE(c->has_backlog()) << "host " << h << " pair " << c->pair.src.value();
+      EXPECT_EQ(c->inflight_bytes, 0) << "host " << h << " pair " << c->pair.src.value();
+      gated |= static_cast<const UfabConnection*>(c)->data_blocked_until > TimeNs::zero();
+    }
+  }
+  // Every arm site was exercised.
+  EXPECT_GT(plane.counters().loss_drops, 0);
+  EXPECT_GT(retransmits, 0);
+  EXPECT_GE(migrations, 1);
+  EXPECT_TRUE(gated);
 }
 
 }  // namespace
