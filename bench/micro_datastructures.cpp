@@ -183,17 +183,17 @@ BENCHMARK(BM_EpochBarrier)->UseRealTime();
 
 /// Synchronization amortization end to end: a two-shard lookahead-limited
 /// workload (self-rescheduling chains + periodic crossings) run to a fixed
-/// horizon with N lookahead windows per coordinator barrier.  Arg(1) is the
-/// legacy one-barrier-per-window cadence; higher args show the adaptive
-/// engine's win.  Sequential executor so the number isolates epoch overhead
-/// rather than thread scheduling noise.
+/// horizon with N lookahead windows per coordinator barrier.  Arg(1) pays one
+/// barrier per window; higher args show what multi-window epochs save.
+/// Sequential executor so the number isolates epoch overhead rather than
+/// thread scheduling noise.
 void BM_AdaptiveEpoch(benchmark::State& state) {
   const int windows = static_cast<int>(state.range(0));
   std::uint64_t events = 0;
   for (auto _ : state) {
     sim::Simulator sim;
     sim.configure_shards(2, TimeNs{1'000}, sim::ShardExec::kSequential);
-    sim.set_adaptive_epochs(windows > 1, windows);
+    sim.set_epoch_windows(windows);
     struct Chain {
       sim::Simulator* sim;
       int self;
@@ -312,22 +312,21 @@ void BM_Fig17Slice(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig17Slice)->Unit(benchmark::kMillisecond);
 
-/// One busy link delivering bursts end to end, fused pipeline vs the legacy
-/// two-event serializer (Arg: 1 = fused, 0 = legacy).  Both run in canonical
-/// sharded mode so the only difference is the serializer itself; the fused
-/// path should win on events scheduled (one calendar entry per busy link
-/// instead of two per packet) and therefore on ns/packet (DESIGN.md §13).
+/// One busy link delivering bursts end to end, fused pipeline vs the
+/// two-event serializer a pinned link uses (Arg: 1 = fused, 0 = pinned).  The
+/// only difference is the serializer itself; the fused path should win on
+/// events scheduled (one calendar entry per busy link instead of two per
+/// packet) and therefore on ns/packet (DESIGN.md §13).
 void BM_LinkPipelineHop(benchmark::State& state) {
   const bool fused = state.range(0) != 0;
   constexpr int kBursts = 64;
   constexpr int kPerBurst = 8;
   for (auto _ : state) {
     sim::Simulator sim;
-    sim.configure_shards(1, TimeNs::max(), sim::ShardExec::kSequential);
-    sim.set_fused_links(fused);
     NullNode sink;
     sim::Link link(sim, LinkId{0}, "l", &sink,
                    sim::LinkConfig{Bandwidth::gbps(10.0), 1_us, 1 << 20, -1, 0.95});
+    if (!fused) link.pin_legacy();
     auto& pool = sim.packet_pool();
     for (int b = 0; b < kBursts; ++b) {
       sim.at(TimeNs{1 + b * 15'000}, [&link, &pool] {

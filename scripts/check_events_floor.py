@@ -4,9 +4,9 @@
 Usage:
     scripts/check_events_floor.py BENCH_engine.json [--record]
 
-Reads the serial fused fig17 cell's engine throughput out of
-BENCH_engine.json (fig17_fused_ab.b_profile.events_per_sec, keyed by the
-workload string so k=4 smoke and k=8 full runs track separate baselines) and
+Reads the serial fig17 cell's engine throughput out of BENCH_engine.json
+(fig17_serial.profile.events_per_sec, keyed by the workload string so k=4
+smoke and k=8 full runs track separate baselines) and
 compares it against the committed baseline in
 bench_baselines/events_per_sec.json:
 
@@ -45,15 +45,15 @@ def main(argv):
         return 2
     with open(args[0], "r", encoding="utf-8") as f:
         bench = json.load(f)
-    fused = bench.get("fig17_fused_ab")
-    if not isinstance(fused, dict):
-        fail("%s has no fig17_fused_ab entry (schema %s)"
+    serial = bench.get("fig17_serial")
+    if not isinstance(serial, dict):
+        fail("%s has no fig17_serial entry (schema %s)"
              % (args[0], bench.get("schema")))
-    profile = fused.get("b_profile") or {}
+    profile = serial.get("profile") or {}
     eps = profile.get("events_per_sec", 0.0)
-    key = fused.get("workload", "unknown")
+    key = serial.get("workload", "unknown")
     if eps <= 0:
-        fail("no events_per_sec in fig17_fused_ab.b_profile")
+        fail("no events_per_sec in fig17_serial.profile")
 
     baselines = {}
     if os.path.exists(BASELINE_PATH):

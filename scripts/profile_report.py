@@ -17,8 +17,10 @@ The report answers the two questions the sharding work needs answered:
     busiest shard, so imbalance is an upper bound on the speedup left.
 
   * events / events_per_sec / ns_per_event — engine throughput: total events
-    across shards over the run's wall clock.  The per-event figures are what
-    the fused-link work (DESIGN.md §13) moves, so the perf lane floors them.
+    across shards over the run's wall clock.  `deliveries` counts packet-hop
+    delivery events (scope dispatch_deliver); events per delivery is what the
+    fused link pipelines (DESIGN.md §13) hold near 1, so the perf lane
+    guards it.
 
 With --json, emits exactly those derived numbers (single file only) so
 scripts/run_perf.sh can merge them into BENCH_engine.json.  Stdlib only.
@@ -88,10 +90,10 @@ def report(path, doc):
              events_total / (wall_ns / 1e9) if wall_ns > 0 else 0.0,
              wall_ns / events_total if events_total > 0 else 0.0))
     print("epochs=%d windows=%d barrier_skips=%d crossings_injected=%d "
-          "adaptive=%s epoch_windows=%d"
+          "epoch_windows=%d"
           % (epochs.get("count", 0), epochs.get("windows", 0),
              epochs.get("barrier_skips", 0), epochs.get("crossings_injected", 0),
-             doc.get("adaptive_epochs", False), doc.get("epoch_windows", 1)))
+             doc.get("epoch_windows", 1)))
     handoff = doc.get("handoff", {})
     if handoff:
         print("handoff: max_drain_batch=%d mailbox_flushes=%d"
@@ -101,7 +103,7 @@ def report(path, doc):
              derived.get("shard_imbalance", 1.0)))
 
     # Epoch-length distribution: simulated time amortized per barrier.  A
-    # healthy adaptive run piles up in buckets well above the lookahead.
+    # healthy multi-window run piles up in buckets well above the lookahead.
     epoch_hist = doc.get("epoch_len_ns_log2", [])
     if any(epoch_hist):
         total = sum(epoch_hist)
@@ -170,10 +172,13 @@ def main(argv):
         doc = load(args[0])
         derived = doc.get("derived", {})
         epochs = doc.get("epochs", {})
-        events_total = sum(s.get("events", 0) for s in doc.get("shards_detail", []))
+        shards = doc.get("shards_detail", [])
+        events_total = sum(s.get("events", 0) for s in shards)
+        deliveries = sum(s.get("scope_count", {}).get("dispatch_deliver", 0) for s in shards)
         wall_ns = doc.get("wall_ns", 0.0)
         print(json.dumps({
             "events": events_total,
+            "deliveries": deliveries,
             "events_per_sec": (events_total / (wall_ns / 1e9)
                                if wall_ns > 0 else 0.0),
             "ns_per_event": (wall_ns / events_total
@@ -188,7 +193,6 @@ def main(argv):
             "windows": epochs.get("windows", 0),
             "barrier_skips": epochs.get("barrier_skips", 0),
             "crossings_injected": epochs.get("crossings_injected", 0),
-            "adaptive_epochs": doc.get("adaptive_epochs", False),
             "epoch_windows": doc.get("epoch_windows", 1),
             "handoff_max_batch": doc.get("handoff", {}).get("max_drain_batch", 0),
         }))

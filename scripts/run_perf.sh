@@ -3,25 +3,16 @@
 # microbenchmarks plus interleaved A/B wall-clock comparisons of the fig17
 # workload, and writes the numbers to BENCH_engine.json at the repo root.
 #
-# A/B comparisons, each run interleaved (A B C A B C ..., take the min per
-# side) so slow-machine noise and thermal drift hit every side equally:
+# A/B comparisons, each run interleaved (A B A B ..., take the min per side)
+# so slow-machine noise and thermal drift hit every side equally:
 #   * engine sharding — one fig17 grid cell, UFAB_SHARDS=1 vs =4.  Runs in
 #     BOTH smoke (k=4, 1 round) and full (k=8, 3 rounds) so the samples are
 #     never null, even on single-CPU hosts;
-#   * epoch adaptivity — the same sharded cell with UFAB_ADAPTIVE_EPOCHS=0
-#     (legacy one-barrier-per-lookahead-window) vs the adaptive default;
 #   * sweep parallelism — the full k=4 grid, UFAB_JOBS=1 vs all cores
 #     (full lane only);
 #   * profiler overhead — BM_Fig17Slice with UFAB_PROF=0 vs =1, guarded:
 #     the lane FAILS if enabling the profiler costs more than
-#     UFAB_PROF_GUARD_PCT percent (default 5);
-#   * fused link pipelines — the serial fig17 cell with UFAB_FUSED_LINKS=0
-#     (legacy two-event serializer) vs the fused default.  Both lanes verify
-#     the legacy stdout is byte-identical to the fused one and that fusing
-#     cut calendar events by >= UFAB_FUSED_EVENT_CUT_PCT percent (default
-#     40, machine-independent).  The full lane additionally FAILS if the
-#     fused cell is not UFAB_FUSED_SPEEDUP_FLOOR (default 1.25) times
-#     faster than legacy on the k=8 cell.
+#     UFAB_PROF_GUARD_PCT percent (default 5).
 #
 # The full lane additionally records a shard-scaling grid (UFAB_SHARDS=2/4/8
 # single-round wall clocks on the k=8 cell) and a first fig17 k=16 row
@@ -30,12 +21,18 @@
 # the lane fails; on smaller hosts the numbers are recorded but not gated
 # (a 1-CPU host cannot express engine parallelism).
 #
-# The lane also runs the fig17 cell untimed with UFAB_PROF=1 (serial,
-# sharded-adaptive, and sharded-legacy), checks the profiled stdout is
-# byte-identical to the unprofiled run (the profiler must be passive),
-# verifies the adaptive engine used >= 5x fewer barriers than legacy, and
-# merges the stall/imbalance/epoch numbers from the emitted *.profile.json
-# into BENCH_engine.json via scripts/profile_report.py.
+# The lane also runs the fig17 cell untimed with UFAB_PROF=1 (serial and
+# sharded) and checks that both print stdout byte-identical to a plain
+# unprofiled run with no UFAB_SHARDS (one engine, one schedule; the profiler
+# is passive).  Two machine-independent guards read the emitted
+# *.profile.json files, in smoke too:
+#   * fused link pipelines — the serial cell retires at most 1.5 calendar
+#     events per delivered packet hop (events / scope_count.dispatch_deliver;
+#     a two-event serializer would sit near 2);
+#   * multi-window epochs — the sharded cell spans at least 5 lookahead
+#     windows per coordinator barrier (windows / epochs).
+# The stall/imbalance/epoch numbers are merged into BENCH_engine.json via
+# scripts/profile_report.py.
 #
 #   scripts/run_perf.sh            # full lane: microbenches + timed fig17
 #   scripts/run_perf.sh --smoke    # short: microbenches + k=4 cells
@@ -45,8 +42,6 @@
 #   UFAB_SHARDS_AB      shard count for the sharded side (default: 4).
 #   UFAB_PROF_GUARD_PCT max tolerated profiler overhead percent (default: 5).
 #   UFAB_SHARD_SPEEDUP_FLOOR  min 4-shard speedup on >=4-CPU hosts (2.0).
-#   UFAB_FUSED_SPEEDUP_FLOOR  min fused-vs-legacy speedup, full lane (1.25).
-#   UFAB_FUSED_EVENT_CUT_PCT  min calendar-event cut from fusing (40).
 #   UFAB_PERF_SKIP_K16=1      skip the k=16 row (it is the longest run).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -120,73 +115,32 @@ if python3 -c 'import sys; sys.exit(0 if float(sys.argv[1]) > float(sys.argv[2])
   exit 1
 fi
 
-# Profiled fig17 cell runs (untimed): serial, sharded-adaptive, and
-# sharded-legacy, each into its own artifact dir so the profile files cannot
-# collide.  The serial pair doubles as the passivity check: stdout with
-# UFAB_PROF=1 must be byte-identical to stdout with UFAB_PROF=0.
+# Profiled fig17 cell runs (untimed): serial and sharded, each into its own
+# artifact dir so the profile files cannot collide.  Both must print stdout
+# byte-identical to a plain unprofiled run without UFAB_SHARDS: the profiler
+# is passive, and every shard count fires the same schedule.
 jobs="${UFAB_JOBS:-$(nproc)}"
 shards_ab="${UFAB_SHARDS_AB:-4}"
 prof_k=8
 if [[ "${SMOKE}" == "1" ]]; then prof_k=4; fi
 cell=(UFAB_FIG17_K="${prof_k}" UFAB_FIG17_ONLY=uFAB,1,0.5 UFAB_JOBS=1 UFAB_OBS=0)
-rm -rf bench_artifacts/prof-serial bench_artifacts/prof-sharded \
-  bench_artifacts/prof-sharded-legacy bench_artifacts/prof-serial-legacy-links \
-  bench_artifacts/prof-k16
-echo "[perf] fig17 cell k=${prof_k}: passivity reference (UFAB_PROF=0, serial) ..." >&2
-env "${cell[@]}" UFAB_SHARDS=1 UFAB_PROF=0 \
-  "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_OFF}"
-echo "[perf] fig17 cell k=${prof_k}: profiled serial (UFAB_PROF=1) ..." >&2
-env "${cell[@]}" UFAB_SHARDS=1 UFAB_PROF=1 UFAB_METRICS_DIR=bench_artifacts/prof-serial \
-  "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_ON}"
-if ! cmp -s "${STDOUT_OFF}" "${STDOUT_ON}"; then
-  echo "[perf] FAIL: profiler is not passive — fig17 stdout differs between UFAB_PROF=0 and =1:" >&2
-  diff "${STDOUT_OFF}" "${STDOUT_ON}" >&2 || true
-  exit 1
-fi
-echo "[perf] passivity OK: profiled stdout byte-identical" >&2
-echo "[perf] fig17 cell k=${prof_k}: profiled sharded (UFAB_SHARDS=${shards_ab}, adaptive) ..." >&2
-env "${cell[@]}" UFAB_SHARDS="${shards_ab}" UFAB_PROF=1 UFAB_METRICS_DIR=bench_artifacts/prof-sharded \
-  "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_ON}"
-# The sharded engine must still be byte-identical to serial (any epoch
-# schedule is schedule-neutral; DESIGN.md §12).
-if ! cmp -s "${STDOUT_OFF}" "${STDOUT_ON}"; then
-  echo "[perf] FAIL: sharded stdout differs from serial:" >&2
-  diff "${STDOUT_OFF}" "${STDOUT_ON}" >&2 || true
-  exit 1
-fi
-echo "[perf] equivalence OK: sharded stdout byte-identical to serial" >&2
-echo "[perf] fig17 cell k=${prof_k}: profiled sharded (legacy epochs, UFAB_ADAPTIVE_EPOCHS=0) ..." >&2
-env "${cell[@]}" UFAB_SHARDS="${shards_ab}" UFAB_ADAPTIVE_EPOCHS=0 UFAB_PROF=1 \
-  UFAB_METRICS_DIR=bench_artifacts/prof-sharded-legacy \
-  "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_ON}"
-if ! cmp -s "${STDOUT_OFF}" "${STDOUT_ON}"; then
-  echo "[perf] FAIL: legacy-epoch stdout differs from serial:" >&2
-  diff "${STDOUT_OFF}" "${STDOUT_ON}" >&2 || true
-  exit 1
-fi
-
-# Fused-link escape hatch: UFAB_FUSED_LINKS=0 re-enables the legacy
-# two-event serializer.  Its stdout must stay byte-identical to the fused
-# default, serially and sharded (DESIGN.md §13) — only the event count may
-# move, and it must shrink by the floor percentage.
-echo "[perf] fig17 cell k=${prof_k}: profiled serial, legacy links (UFAB_FUSED_LINKS=0) ..." >&2
-env "${cell[@]}" UFAB_SHARDS=1 UFAB_FUSED_LINKS=0 UFAB_PROF=1 \
-  UFAB_METRICS_DIR=bench_artifacts/prof-serial-legacy-links \
-  "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_ON}"
-if ! cmp -s "${STDOUT_OFF}" "${STDOUT_ON}"; then
-  echo "[perf] FAIL: legacy-link stdout differs from fused:" >&2
-  diff "${STDOUT_OFF}" "${STDOUT_ON}" >&2 || true
-  exit 1
-fi
-echo "[perf] fig17 cell k=${prof_k}: legacy links sharded (UFAB_SHARDS=${shards_ab}) ..." >&2
-env "${cell[@]}" UFAB_SHARDS="${shards_ab}" UFAB_FUSED_LINKS=0 \
-  "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_ON}"
-if ! cmp -s "${STDOUT_OFF}" "${STDOUT_ON}"; then
-  echo "[perf] FAIL: sharded legacy-link stdout differs from serial fused:" >&2
-  diff "${STDOUT_OFF}" "${STDOUT_ON}" >&2 || true
-  exit 1
-fi
-echo "[perf] equivalence OK: legacy-link stdout byte-identical to fused" >&2
+rm -rf bench_artifacts/prof-serial bench_artifacts/prof-sharded bench_artifacts/prof-k16
+echo "[perf] fig17 cell k=${prof_k}: reference (plain engine, UFAB_PROF=0) ..." >&2
+env "${cell[@]}" UFAB_PROF=0 "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_OFF}"
+for side in serial sharded; do
+  shards=1
+  if [[ "${side}" == "sharded" ]]; then shards="${shards_ab}"; fi
+  echo "[perf] fig17 cell k=${prof_k}: profiled ${side} (UFAB_SHARDS=${shards}, UFAB_PROF=1) ..." >&2
+  env "${cell[@]}" UFAB_SHARDS="${shards}" UFAB_PROF=1 \
+    UFAB_METRICS_DIR="bench_artifacts/prof-${side}" \
+    "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_ON}"
+  if ! cmp -s "${STDOUT_OFF}" "${STDOUT_ON}"; then
+    echo "[perf] FAIL: profiled ${side} stdout differs from the plain run:" >&2
+    diff "${STDOUT_OFF}" "${STDOUT_ON}" >&2 || true
+    exit 1
+  fi
+done
+echo "[perf] equivalence OK: profiled serial and sharded stdout byte-identical to plain" >&2
 
 profile_of() {
   local files=("$1"/*.profile.json)
@@ -198,54 +152,34 @@ profile_of() {
 }
 serial_profile="$(profile_of bench_artifacts/prof-serial)"
 sharded_profile="$(profile_of bench_artifacts/prof-sharded)"
-legacy_profile="$(profile_of bench_artifacts/prof-sharded-legacy)"
-legacy_links_profile="$(profile_of bench_artifacts/prof-serial-legacy-links)"
 echo "[perf] stall/imbalance report:" >&2
 scripts/profile_report.py bench_artifacts/prof-serial/*.profile.json \
-  bench_artifacts/prof-sharded/*.profile.json \
-  bench_artifacts/prof-sharded-legacy/*.profile.json \
-  bench_artifacts/prof-serial-legacy-links/*.profile.json >&2
+  bench_artifacts/prof-sharded/*.profile.json >&2
 
-# Event-cut guard (machine-independent, runs in smoke too): fusing must
-# schedule at least UFAB_FUSED_EVENT_CUT_PCT percent fewer calendar events
-# than the legacy serializer on the same cell.
-event_cut_pct="${UFAB_FUSED_EVENT_CUT_PCT:-40}"
+# Machine-independent guards (smoke too): fused pipelines keep the serial
+# cell near one calendar event per hop, and multi-window epochs amortize
+# each coordinator barrier over >= 5 lookahead windows.
 if ! python3 -c '
 import json, sys
-fused = json.loads(sys.argv[1])
-legacy = json.loads(sys.argv[2])
-floor = float(sys.argv[3])
-cut = 100.0 * (1.0 - fused["events"] / legacy["events"]) if legacy["events"] else 0.0
-print("[perf] fused links: events legacy=%d fused=%d (%.1f%% cut, floor %.0f%%)"
-      % (legacy["events"], fused["events"], cut, floor), file=sys.stderr)
-sys.exit(0 if cut >= floor else 1)
-' "${serial_profile}" "${legacy_links_profile}" "${event_cut_pct}"; then
-  echo "[perf] FAIL: fused links cut fewer than ${event_cut_pct}% of calendar events" >&2
+serial = json.loads(sys.argv[1])
+sharded = json.loads(sys.argv[2])
+per_hop = serial["events"] / serial["deliveries"] if serial["deliveries"] else float("inf")
+per_epoch = sharded["windows"] / sharded["epochs"] if sharded["epochs"] else 0.0
+print("[perf] serial cell: %d events / %d hops = %.2f events per hop (max 1.5)"
+      % (serial["events"], serial["deliveries"], per_hop), file=sys.stderr)
+print("[perf] sharded cell: %d windows / %d epochs = %.1f windows per barrier (min 5)"
+      % (sharded["windows"], sharded["epochs"], per_epoch), file=sys.stderr)
+sys.exit(0 if per_hop <= 1.5 and per_epoch >= 5 else 1)
+' "${serial_profile}" "${sharded_profile}"; then
+  echo "[perf] FAIL: events per hop above 1.5 or fewer than 5 windows per barrier" >&2
   exit 1
 fi
 
-# Barrier-amortization guard: the adaptive engine must synchronize at least
-# 5x less often than the legacy one-window cadence on the same cell.
-if ! python3 -c '
-import json, sys
-adaptive = json.loads(sys.argv[1])
-legacy = json.loads(sys.argv[2])
-a, l = adaptive["epochs"], legacy["epochs"]
-print("[perf] epochs: legacy=%d adaptive=%d (%.1fx fewer barriers)"
-      % (l, a, l / a if a else float("inf")), file=sys.stderr)
-sys.exit(0 if a > 0 and l >= 5 * a else 1)
-' "${sharded_profile}" "${legacy_profile}"; then
-  echo "[perf] FAIL: adaptive epochs did not amortize >=5x fewer barriers" >&2
-  exit 1
-fi
-
-# Timed A/B wall clocks.  The sharding/adaptivity comparison runs in smoke
-# too (single round) so a_min_s/b_min_s are never null in BENCH_engine.json,
-# whatever the host; the sweep A/B and scaling grid are full-lane only.
+# Timed A/B wall clocks.  The sharding comparison runs in smoke too (single
+# round) so a_min_s/b_min_s are never null in BENCH_engine.json, whatever the
+# host; the sweep A/B and scaling grid are full-lane only.
 serial_samples=""
 sharded_samples=""
-legacy_samples=""
-fusedoff_samples=""
 jobs1_samples=""
 jobsN_samples=""
 wall() {
@@ -263,31 +197,7 @@ for ((i = 1; i <= ab_rounds; ++i)); do
   serial_samples+="${serial_samples:+,}$(wall "${abcell[@]}" UFAB_SHARDS=1)"
   echo "[perf] fig17 cell k=${prof_k}, round ${i}/${ab_rounds}: UFAB_SHARDS=${shards_ab} ..." >&2
   sharded_samples+="${sharded_samples:+,}$(wall "${abcell[@]}" UFAB_SHARDS="${shards_ab}")"
-  echo "[perf] fig17 cell k=${prof_k}, round ${i}/${ab_rounds}: UFAB_SHARDS=${shards_ab} legacy epochs ..." >&2
-  legacy_samples+="${legacy_samples:+,}$(wall "${abcell[@]}" UFAB_SHARDS="${shards_ab}" UFAB_ADAPTIVE_EPOCHS=0)"
-  echo "[perf] fig17 cell k=${prof_k}, round ${i}/${ab_rounds}: UFAB_SHARDS=1 UFAB_FUSED_LINKS=0 ..." >&2
-  fusedoff_samples+="${fusedoff_samples:+,}$(wall "${abcell[@]}" UFAB_SHARDS=1 UFAB_FUSED_LINKS=0)"
 done
-
-# Fused speedup floor: gated on the full lane only (the k=4 smoke cell is
-# too short for a stable wall-clock ratio; its event-cut guard above is the
-# smoke-side check).
-fused_floor="${UFAB_FUSED_SPEEDUP_FLOOR:-1.25}"
-if [[ "${SMOKE}" == "0" ]]; then
-  if ! python3 -c '
-import sys
-legacy = min(float(x) for x in sys.argv[1].split(","))
-fused = min(float(x) for x in sys.argv[2].split(","))
-floor = float(sys.argv[3])
-speedup = legacy / fused if fused > 0 else 0.0
-print("[perf] fused links: k=8 serial %.2fs -> %.2fs (%.2fx, floor %.2fx)"
-      % (legacy, fused, speedup, floor), file=sys.stderr)
-sys.exit(0 if speedup >= floor else 1)
-' "${fusedoff_samples}" "${serial_samples}" "${fused_floor}"; then
-    echo "[perf] FAIL: fused links below ${fused_floor}x on the serial k=8 cell" >&2
-    exit 1
-  fi
-fi
 
 # Shard-scaling grid + sweep A/B (full lane only).
 grid_entries=""
@@ -348,19 +258,17 @@ else
 fi
 
 python3 - "$MICRO_JSON" "$OUT" "$serial_samples" "$sharded_samples" \
-  "$legacy_samples" "$jobs1_samples" "$jobsN_samples" "$jobs" "$shards_ab" \
-  "$serial_profile" "$sharded_profile" "$legacy_profile" "$overhead_pct" \
+  "$jobs1_samples" "$jobsN_samples" "$jobs" "$shards_ab" \
+  "$serial_profile" "$sharded_profile" "$overhead_pct" \
   "$off_ms" "$on_ms" "$guard_pct" "$prof_k" "$cpus_online" "$grid_entries" \
-  "$k16_wall" "$k16_profile" "$speedup_floor" "$fusedoff_samples" \
-  "$legacy_links_profile" "$fused_floor" "$event_cut_pct" "$SMOKE" <<'PY'
+  "$k16_wall" "$k16_profile" "$speedup_floor" <<'PY'
 import json, platform, sys
 
-(micro_path, out_path, serial_s, sharded_s, legacy_s,
+(micro_path, out_path, serial_s, sharded_s,
  jobs1_s, jobsN_s, jobs, shards_ab,
- serial_profile, sharded_profile, legacy_profile, overhead_pct, off_ms, on_ms,
+ serial_profile, sharded_profile, overhead_pct, off_ms, on_ms,
  guard_pct, prof_k, cpus_online, grid_entries, k16_wall, k16_profile,
- speedup_floor, fusedoff_s, legacy_links_profile, fused_floor,
- event_cut_pct, smoke) = sys.argv[1:28]
+ speedup_floor) = sys.argv[1:21]
 with open(micro_path) as f:
     micro = json.load(f)
 
@@ -392,32 +300,28 @@ sharding.update({"a": "UFAB_SHARDS=1", "b": f"UFAB_SHARDS={shards_ab}",
                  "workload": f"fig17 k={prof_k} cell uFAB,1,0.5 (UFAB_JOBS=1)",
                  "a_profile": json.loads(serial_profile),
                  "b_profile": json.loads(sharded_profile)})
-adaptivity = ab(legacy_s, sharded_s)
-adaptivity.update({"a": f"UFAB_SHARDS={shards_ab} UFAB_ADAPTIVE_EPOCHS=0",
-                   "b": f"UFAB_SHARDS={shards_ab} (adaptive, default)",
-                   "workload": f"fig17 k={prof_k} cell uFAB,1,0.5 (UFAB_JOBS=1)",
-                   "a_profile": json.loads(legacy_profile),
-                   "b_profile": json.loads(sharded_profile)})
 sweep = ab(jobs1_s, jobsN_s)
 sweep.update({"a": "UFAB_JOBS=1", "b": f"UFAB_JOBS={jobs}",
               "workload": "fig17 k=4 full grid"})
 
-fused_a = json.loads(legacy_links_profile)
-fused_b = json.loads(serial_profile)
-fused = ab(fusedoff_s, serial_s)
-fused.update({
-    "a": "UFAB_FUSED_LINKS=0 (legacy two-event serializer)",
-    "b": "fused link pipelines (default)",
+serial_p = json.loads(serial_profile)
+sharded_p = json.loads(sharded_profile)
+# The serial cell's engine throughput, keyed by workload for
+# scripts/check_events_floor.py.
+fig17_serial = {
     "workload": f"fig17 k={prof_k} cell uFAB,1,0.5 (serial, UFAB_JOBS=1)",
-    "a_profile": fused_a,
-    "b_profile": fused_b,
-    "event_cut_pct": (round(100.0 * (1.0 - fused_b["events"] / fused_a["events"]), 2)
-                      if fused_a.get("events") else None),
-    "event_cut_floor_pct": float(event_cut_pct),
-    "speedup_floor": float(fused_floor),
-    "speedup_gated": smoke == "0",
-    "passivity": "stdout byte-identical, serial and sharded",
-})
+    "profile": serial_p,
+}
+guards = {
+    "events_per_hop": (round(serial_p["events"] / serial_p["deliveries"], 3)
+                       if serial_p.get("deliveries") else None),
+    "events_per_hop_max": 1.5,
+    "windows_per_epoch": (round(sharded_p["windows"] / sharded_p["epochs"], 2)
+                          if sharded_p.get("epochs") else None),
+    "windows_per_epoch_min": 5,
+    "workload": f"fig17 k={prof_k} cell uFAB,1,0.5: serial and "
+                f"UFAB_SHARDS={shards_ab} profiles",
+}
 
 grid = []
 for row in (grid_entries.split(",") if grid_entries else []):
@@ -436,7 +340,7 @@ if k16_wall:
            "profile": json.loads(k16_profile)}
 
 doc = {
-    "schema": "ufab-bench-engine-v5",
+    "schema": "ufab-bench-engine-v6",
     "notes": "interleaved min-of-N wall clocks (A B C A B C ...); speedups "
              "are min(A)/min(B).  On single-CPU hosts the sharded and sweep "
              "sides cannot beat serial — the lane still records every sample "
@@ -447,10 +351,9 @@ doc = {
              "scripts/profile_report.py) and carry the per-event engine "
              "figures (events, events_per_sec, ns_per_event); prof_overhead "
              "is the guarded BM_Fig17Slice cost of enabling the profiler.  "
-             "fig17_fused_ab compares the fused link pipelines against the "
-             "UFAB_FUSED_LINKS=0 escape hatch: stdout byte-identical both "
-             "ways, events cut gated everywhere, wall-clock speedup gated "
-             "on the full lane.",
+             "guards holds the two machine-independent checks: events per "
+             "delivered hop on the serial cell (fused link pipelines) and "
+             "lookahead windows per barrier on the sharded cell.",
     "host": {
         "machine": platform.machine(),
         "cpus_online": int(cpus_online),
@@ -464,10 +367,10 @@ doc = {
         "guard_pct": float(guard_pct),
         "passivity": "stdout byte-identical",
     },
+    "fig17_serial": fig17_serial,
     "fig17_sharding_ab": sharding,
-    "fig17_adaptivity_ab": adaptivity,
     "fig17_sweep_ab": sweep,
-    "fig17_fused_ab": fused,
+    "guards": guards,
     "fig17_shard_grid": grid,
     "fig17_k16": k16,
     "speedup_floor": {"value": float(speedup_floor),

@@ -118,7 +118,7 @@ bool FaultPlane::matches(LossClass klass, const sim::Packet& pkt) {
 
 void FaultPlane::arm_flap(const FlapSpec& spec) {
   sim::Link* link = fab_.net().link(spec.link);
-  // A flapped link must use the legacy serializer: a fused *cut* link posts
+  // A flapped link must use the two-event serializer: a fused *cut* link posts
   // its cross-shard crossing when serialization starts, and a later
   // set_down(true) could not recall it.  The pin is applied on every
   // partition (the flap schedule is partition-invariant), so per-hop event

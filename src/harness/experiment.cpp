@@ -29,9 +29,10 @@ Experiment::Experiment(Scheme scheme, const TopoFn& topo_fn, topo::FabricOptions
   const topo::FabricOptions opts = fabric_options_for(scheme, base_opts, scheme_opts);
   fab_ = std::make_unique<Fabric>(
       [&](sim::Simulator& s) { return topo_fn(s, opts); }, seed);
-  // UFAB_SHARDS switches the engine into canonical sharded mode before any
-  // scheme or workload events exist; UFAB_SHARD_EXEC=seq|threads pins the
-  // execution strategy (equivalence testing), default auto.
+  // UFAB_SHARDS splits the engine into shards before any scheme or workload
+  // events exist (the schedule is the same for every shard count);
+  // UFAB_SHARD_EXEC=seq|threads pins the execution strategy (equivalence
+  // testing), default auto.
   if (const char* v = std::getenv("UFAB_SHARDS"); v != nullptr && v[0] != '\0') {
     sim::ShardExec exec = sim::ShardExec::kAuto;
     if (const char* e = std::getenv("UFAB_SHARD_EXEC"); e != nullptr) {
@@ -43,21 +44,11 @@ Experiment::Experiment(Scheme scheme, const TopoFn& topo_fn, topo::FabricOptions
     }
     fab_->configure_sharding(std::max(1, std::atoi(v)), exec);
   }
-  // UFAB_ADAPTIVE_EPOCHS=0 pins the engine to one barrier per lookahead
-  // window (the legacy cadence — A/B and determinism baselines);
-  // UFAB_EPOCH_WINDOWS=<n> sets how many lookahead windows each adaptive
-  // epoch amortizes over one barrier (default 16).  Both are schedule-neutral
-  // knobs: results are byte-identical either way (DESIGN.md §12).
-  {
-    bool adaptive = true;
-    if (const char* v = std::getenv("UFAB_ADAPTIVE_EPOCHS"); v != nullptr && v[0] == '0') {
-      adaptive = false;
-    }
-    int windows = 16;
-    if (const char* v = std::getenv("UFAB_EPOCH_WINDOWS"); v != nullptr && v[0] != '\0') {
-      windows = std::max(1, std::atoi(v));
-    }
-    fab_->sim().set_adaptive_epochs(adaptive, windows);
+  // UFAB_EPOCH_WINDOWS=<n> sets how many lookahead windows each epoch
+  // amortizes over one coordinator barrier (default 16).  Schedule-neutral:
+  // results are byte-identical for every width (DESIGN.md §12).
+  if (const char* v = std::getenv("UFAB_EPOCH_WINDOWS"); v != nullptr && v[0] != '\0') {
+    fab_->sim().set_epoch_windows(std::max(1, std::atoi(v)));
   }
   // UFAB_PROF attaches the engine self-profiling plane (level 1 = loop
   // attribution, 2 = + per-call scopes).  Passive: the schedule and every

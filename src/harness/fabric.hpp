@@ -34,11 +34,11 @@ class Fabric {
 
   ~Fabric();
 
-  /// Partitions the topology and switches the engine into canonical sharded
-  /// mode (see DESIGN.md §9).  Call right after construction, before any
-  /// scheme, source, or meter schedules events.  `shards` is clamped to what
-  /// the topology supports; `shards == 1` still enables canonical ordering so
-  /// serial and sharded runs are comparable byte-for-byte.
+  /// Partitions the topology across engine shards (see DESIGN.md §9).  Call
+  /// right after construction, before any scheme, source, or meter
+  /// schedules events.  `shards` is clamped to what the topology supports;
+  /// the schedule is the same for every shard count, so serial and sharded
+  /// runs are comparable byte-for-byte.
   void configure_sharding(int shards, sim::ShardExec exec = sim::ShardExec::kAuto);
 
   /// The shard a node / host was assigned to (0 when not sharded).

@@ -200,7 +200,6 @@ std::string Profiler::to_json(const ProfContext& ctx) const {
   append_f(out, "  \"shards\": %d,\n", ctx.shard_count);
   append_f(out, "  \"threaded\": %s,\n", ctx.threaded ? "true" : "false");
   append_f(out, "  \"lookahead_ns\": %lld,\n", static_cast<long long>(ctx.lookahead_ns));
-  append_f(out, "  \"adaptive_epochs\": %s,\n", ctx.adaptive_epochs ? "true" : "false");
   append_f(out, "  \"epoch_windows\": %d,\n", ctx.epoch_windows);
   append_f(out, "  \"sample_period_ns\": %lld,\n",
            static_cast<long long>(opts_.sample_period_ns));

@@ -215,7 +215,6 @@ struct ProfContext {
   int shard_count = 1;
   bool threaded = false;
   std::int64_t lookahead_ns = -1;  ///< -1 = unbounded (no cut links).
-  bool adaptive_epochs = false;    ///< Multi-window epochs + solo skipping on.
   int epoch_windows = 1;           ///< Lookahead windows per barrier (knob).
   std::uint64_t handoff_max_batch = 0;  ///< Largest single mailbox drain.
   std::uint64_t mailbox_flushes = 0;    ///< Batch publications, all mailboxes.

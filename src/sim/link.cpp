@@ -122,25 +122,28 @@ void Link::enqueue_fused(PacketPtr pkt) {
   // The delivery at the peer is the virtual serializer-end event's first
   // child: raw key (event_identity(h, k), 0), byte-identical to the key the
   // legacy DeliverEvent / crossing would carry.
-  const std::uint64_t id_f = Simulator::event_identity(e.h, e.k);
-  const TimeNs deliver_at = e.ser_end + cfg_.prop_delay;
   if (cross_shard_dst_ >= 0) {
     // Cut link: post the crossing eagerly so the hop still costs one event
     // on every partition (event counts are compared bit-exactly across shard
     // counts).  The crossing's arrival is >= the first epoch boundary after
     // this commit (prop_delay >= lookahead for cut links), so posting early
     // never outruns the conservative window protocol.
-    sim_.post_cross_keyed(cross_shard_dst_, deliver_at, dst_, std::move(pkt), id_f, 0);
+    sim_.post_cross_keyed(cross_shard_dst_, e.ser_end + cfg_.prop_delay, dst_, std::move(pkt),
+                          Simulator::event_identity(e.h, e.k), 0);
     pipe_.push_back(std::move(e));
   } else {
     e.pkt = std::move(pkt);
     pipe_.push_back(std::move(e));
-    if (pipe_.size() == 1) {
-      // Head of an idle pipe: arm the single resident calendar event.
-      sim_.at_keyed(deliver_at, id_f, 0, FusedLinkDeliver{this, epoch_});
-    }
+    // Head of an idle pipe: arm the single resident calendar event.
+    if (pipe_.size() == 1) arm_head();
   }
   check_pipe_order();
+}
+
+void Link::arm_head() {
+  const PipeEntry& head = pipe_.front();
+  sim_.at_keyed(head.ser_end + cfg_.prop_delay, Simulator::event_identity(head.h, head.k), 0,
+                FusedLinkDeliver{this, epoch_});
 }
 
 void Link::advance() const {
@@ -189,16 +192,35 @@ void Link::fire_head(std::uint64_t epoch) {
   pipe_.pop_front();
   --mat_;
   UFAB_CHECK(head.pkt != nullptr);
-  if (!pipe_.empty()) {
-    // Re-arm for the next in-flight packet before delivering: receive() can
-    // re-enter this link, and the pipe must look consistent when it does.
-    const PipeEntry& next = pipe_.front();
-    sim_.at_keyed(next.ser_end + cfg_.prop_delay,
-                  Simulator::event_identity(next.h, next.k), 0,
-                  FusedLinkDeliver{this, epoch_});
-  }
+  // Re-arm for the next in-flight packet before delivering: receive() can
+  // re-enter this link, and the pipe must look consistent when it does.
+  if (!pipe_.empty()) arm_head();
   check_pipe_order();
   dst_->receive(std::move(head.pkt));
+}
+
+void Link::leave_pipeline() {
+  advance();
+  if (mat_ == pipe_.size()) return;  // nothing left to serialize
+  UFAB_CHECK_MSG(cross_shard_dst_ < 0,
+                 "fused cut link leaves its pipeline mid-serialization: its crossings "
+                 "were posted at commit time and cannot be recalled");
+  // The handed-over finish event must land on the link's own calendar.
+  UFAB_CHECK_MSG(home_ == sim_.active_shard_handle(),
+                 "fused link leaves its pipeline from a foreign shard");
+  if (mat_ == 0) ++epoch_;  // the head event pointed at the entry that moves
+  // The entry being serialized finishes at its own ser_end under the raw key
+  // its virtual serializer-end event carried, so its delivery and its
+  // successors keep the keys they would have had on the fused path.
+  PipeEntry& cur = pipe_[mat_];
+  busy_ = true;
+  in_flight_ = std::move(cur.pkt);
+  sim_.at_keyed(cur.ser_end, cur.h, cur.k,
+                [this, bytes = cur.bytes, epoch = epoch_] { finish_transmit(bytes, epoch); });
+  // Waiting entries already count toward queue_bytes_.
+  for (std::size_t i = mat_ + 1; i < pipe_.size(); ++i) queue_.push_back(std::move(pipe_[i].pkt));
+  while (pipe_.size() > mat_) pipe_.pop_back();
+  check_pipe_order();
 }
 
 void Link::check_pipe_order() const {
@@ -257,6 +279,9 @@ void Link::set_down(bool down) {
       ++drops_;
       ++epoch_;
       busy_ = false;
+      // After leave_pipeline, packets still propagating in the pipe keep
+      // arriving: re-arm their head event under the new epoch.
+      if (!pipe_.empty()) arm_head();
     }
   } else {
     kick();

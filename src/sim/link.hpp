@@ -12,21 +12,22 @@
 //
 // Two serializer implementations share that contract (DESIGN.md §13):
 //
-//  * Legacy two-event path: every packet hop schedules a serializer-end
-//    closure plus a DeliverEvent one propagation delay later.  Default-mode
-//    runs, pull-source (host NIC) links, links with wire-loss fault filters,
-//    and links pinned by the fault plane use it.
+//  * Fused pipeline (every push link with a nonzero propagation delay): the
+//    link keeps an in-order FIFO of in-flight packets (`pipe_`) and the
+//    calendar holds only the *head* departure — one resident event per busy
+//    link instead of two per packet.  Serialization milestones are virtual:
+//    each pipe entry carries the raw (h, k) ordering key its serializer-end
+//    event would have used on the two-event path, and bookkeeping
+//    (cumulative TX, rate checkpoints, queue accounting) replays lazily,
+//    exactly when the engine's key_fired() predicate says that event would
+//    already have run.  Delivery events reuse the same keys, so schedules,
+//    telemetry, and shard handoffs match the two-event serializer.
 //
-//  * Fused pipeline (canonical mode, push links): the link keeps an in-order
-//    FIFO of in-flight packets (`pipe_`) and the calendar holds only the
-//    *head* departure — one resident event per busy link instead of one per
-//    packet.  Serialization milestones become virtual: each pipe entry
-//    carries the raw (h, k) ordering key its legacy serializer-end event
-//    would have used, and bookkeeping (cumulative TX, rate checkpoints,
-//    queue accounting) replays lazily, exactly when the engine's key_fired()
-//    predicate says the legacy event would already have run.  Delivery
-//    events reuse the byte-identical legacy keys, so schedules, telemetry,
-//    and shard handoffs are indistinguishable from the two-event engine.
+//  * Two-event path: every packet hop schedules a serializer-end closure plus
+//    a DeliverEvent one propagation delay later.  Links that need a real
+//    event at wire exit use it: pull-source (host NIC) links, links with
+//    wire-loss fault filters, and links the fault plane pins.  A link that
+//    switches mid-run hands its pipe over to it (leave_pipeline).
 #pragma once
 
 #include <cstdint>
@@ -71,7 +72,7 @@ class Link {
   void enqueue(PacketPtr pkt);
 
   /// Registers a pull source consulted when the queue is empty and the wire
-  /// is idle (host NIC mode).  Pull links always use the legacy serializer
+  /// is idle (host NIC mode).  Pull links always use the two-event serializer
   /// (the source callback must run exactly when the wire goes idle).
   void set_source(PullSource source) {
     UFAB_CHECK_MSG(pipe_.empty(), "set_source on a link with fused traffic");
@@ -94,21 +95,24 @@ class Link {
   /// Wire-loss fault hook (fault injection): consulted when a packet finishes
   /// serializing; returning true discards it instead of delivering (the
   /// packet still consumed link time, like corruption on the wire).  A
-  /// filtered link uses the legacy serializer: the filter's RNG draws must
-  /// happen at wire-exit time in event order.
+  /// filtered link uses the two-event serializer: the filter's RNG draws must
+  /// happen at wire-exit time in event order.  Packets already committed to
+  /// the fused pipe move over to it (leave_pipeline).
   void set_fault_filter(FaultFilter filter) {
-    UFAB_CHECK_MSG(pipe_.empty(), "set_fault_filter on a link with fused traffic");
+    leave_pipeline();
     fault_filter_ = std::move(filter);
   }
   [[nodiscard]] std::int64_t fault_drops() const { return fault_drops_; }
 
-  /// Pins this link to the legacy two-event serializer.  The fault plane
-  /// pins every link it will flap: a fused *cut* link posts its cross-shard
+  /// Pins this link to the two-event serializer.  The fault plane pins
+  /// every link it will flap: a fused *cut* link posts its cross-shard
   /// crossing at commit time, which cannot be recalled by a later
   /// set_down — and the pin must be partition-invariant (the fault schedule
-  /// is), so event counts stay byte-identical across shard counts.
+  /// is), so event counts stay byte-identical across shard counts.  Safe
+  /// mid-run: packets already committed to the fused pipe move over to the
+  /// two-event serializer (leave_pipeline).
   void pin_legacy() {
-    UFAB_CHECK_MSG(pipe_.empty(), "pin_legacy on a link with fused traffic");
+    leave_pipeline();
     pinned_legacy_ = true;
   }
   [[nodiscard]] bool pinned_legacy() const { return pinned_legacy_; }
@@ -142,7 +146,7 @@ class Link {
     max_queue_bytes_ = queue_bytes_;
   }
 
-  /// In-flight packets on the fused pipeline (0 on the legacy path) — the
+  /// In-flight packets on the fused pipeline (0 on the two-event path) — the
   /// calendar holds at most one event for all of them (tests).
   [[nodiscard]] std::size_t pipe_depth() const { return pipe_.size(); }
 
@@ -178,12 +182,11 @@ class Link {
   };
 
   [[nodiscard]] bool use_fused() const {
-    return !pinned_legacy_ && !source_ && !fault_filter_ && cfg_.prop_delay.ns() > 0 &&
-           sim_.canonical_order() && sim_.fused_links();
+    return !pinned_legacy_ && !source_ && !fault_filter_ && cfg_.prop_delay.ns() > 0;
   }
 
   /// Tail-drop / ECN admission against the current queue_bytes_; shared by
-  /// both serializer paths so the formulas can never drift apart.  Returns
+  /// both serializers so the formulas can never drift apart.  Returns
   /// false when the packet was dropped.
   bool admit(Packet& pkt);
   void enqueue_fused(PacketPtr pkt);
@@ -191,7 +194,17 @@ class Link {
   /// already have run, in order, each at its own timestamp.  Lazy and
   /// idempotent; called before every read or commit of serializer state.
   void advance() const;
+  /// Schedules the resident head-departure event for pipe_.front().
+  void arm_head();
   void fire_head(std::uint64_t epoch);
+  /// Hands fused traffic to the two-event serializer before the link stops
+  /// fusing: entries past their serializer-end stay in the pipe (the head
+  /// event still delivers them), the entry being serialized becomes
+  /// in_flight_ with its finish event at its own ser_end and key, and the
+  /// rest of the pipe becomes queue_.  A cut link must have nothing left to
+  /// serialize (its crossings were posted at commit time), and the call must
+  /// come from the link's own shard.
+  void leave_pipeline();
   void check_pipe_order() const;  ///< Debug-only FIFO invariant sweep.
 
   void start_next();
@@ -216,10 +229,10 @@ class Link {
   bool busy_ = false;
   bool down_ = false;
   bool pinned_legacy_ = false;
-  PacketPtr in_flight_;  // the packet currently being serialized (legacy path)
-  /// Bumped when an in-flight serialization is aborted (set_down); the
-  /// completion event — legacy serializer-end or fused head departure —
-  /// compares its captured epoch and becomes a no-op.
+  PacketPtr in_flight_;  // the packet currently being serialized (two-event path)
+  /// Bumped when an in-flight serialization is aborted (set_down) or handed
+  /// over (leave_pipeline); the completion event — serializer-end or fused
+  /// head departure — compares its captured epoch and becomes a no-op.
   std::uint64_t epoch_ = 0;
   /// The shard whose execution frontier decides which virtual milestones
   /// have fired; captured at the first fused commit.

@@ -70,7 +70,7 @@ class ShardMailbox {
 
   void post(T v) {
     const std::uint64_t pos = tail_;
-    UFAB_CHECK_MSG(pos - head_ < kChunkItems * kMaxChunks,
+    UFAB_CHECK_MSG(pos - head_.load(std::memory_order_acquire) < kChunkItems * kMaxChunks,
                    "shard mailbox overflow: one pass posted too many crossings");
     Chunk*& slot = chunks_[(pos / kChunkItems) % kMaxChunks];
     if (slot == nullptr) slot = new Chunk();
@@ -94,12 +94,13 @@ class ShardMailbox {
   template <typename Fn>
   std::size_t drain(Fn&& fn) {
     const std::uint64_t avail = published_.load(std::memory_order_acquire);
-    if (avail == head_) return 0;
-    const auto batch = static_cast<std::size_t>(avail - head_);
-    for (std::uint64_t pos = head_; pos < avail; ++pos) {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    if (avail == head) return 0;
+    const auto batch = static_cast<std::size_t>(avail - head);
+    for (std::uint64_t pos = head; pos < avail; ++pos) {
       fn(std::move(chunks_[(pos / kChunkItems) % kMaxChunks]->items[pos % kChunkItems]));
     }
-    head_ = avail;
+    head_.store(avail, std::memory_order_release);
     ++drains_;
     if (batch > max_batch_) max_batch_ = batch;
     return batch;
@@ -109,14 +110,17 @@ class ShardMailbox {
 
   /// True when every posted entry has been drained.  Only meaningful while
   /// both sides are quiesced (between passes).
-  [[nodiscard]] bool quiesced_empty() const { return head_ == tail_; }
+  [[nodiscard]] bool quiesced_empty() const {
+    return head_.load(std::memory_order_relaxed) == tail_;
+  }
 
   /// Rewinds the monotone positions once they near the chunk-index wrap, so
   /// arbitrarily long runs never overflow.  Requires an empty channel.
   void maybe_reset() {
     if (tail_ < kChunkItems * (kMaxChunks / 2)) return;
-    UFAB_CHECK(head_ == tail_);
-    head_ = tail_ = 0;
+    UFAB_CHECK(head_.load(std::memory_order_relaxed) == tail_);
+    head_.store(0, std::memory_order_relaxed);
+    tail_ = 0;
     published_.store(0, std::memory_order_relaxed);
   }
 
@@ -130,7 +134,9 @@ class ShardMailbox {
   /// cross-shard traffic gauge the profiler exports.
   [[nodiscard]] std::size_t max_drain_batch() const { return max_batch_; }
   /// Entries posted but not yet drained (quiesced read; pending() uses it).
-  [[nodiscard]] std::size_t size() const { return static_cast<std::size_t>(tail_ - head_); }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(tail_ - head_.load(std::memory_order_relaxed));
+  }
 
  private:
   struct Chunk {
@@ -149,8 +155,11 @@ class ShardMailbox {
   /// it.  The only cross-thread traffic the channel generates per batch.
   std::atomic<std::uint64_t> published_{0};
 
-  // Reader-owned.
-  std::uint64_t head_ = 0;    ///< Next position to drain.
+  // Reader-owned.  head_ is the one reader field the writer reads (post's
+  // overflow check), so it is atomic: drain's release-store pairs with that
+  // acquire-load, ordering the reader's last use of a slot before the
+  // writer reuses it.
+  std::atomic<std::uint64_t> head_{0};  ///< Next position to drain.
   std::uint64_t drains_ = 0;
   std::size_t max_batch_ = 0;
 };

@@ -28,11 +28,11 @@
 //    woke a peer — before the woken shard executes anything, so nothing is
 //    ever missed.
 //
-//  * The final inclusive stretch of run_until keeps the PR-4 coordinator
-//    round structure (run_pass(t, true) + inject_crossings loops): at the
+//  * The final inclusive stretch of run_until uses single-boundary
+//    coordinator rounds (run_pass(t, true) + inject_crossings loops): at the
 //    horizon the window ladder degenerates (events at exactly t can emit
-//    crossings at exactly t), and the legacy rounds already handle that
-//    termination argument.
+//    crossings at exactly t), and those rounds carry the termination
+//    argument.
 //
 // Cross-shard packets are handed over, not cloned: injection moves the
 // PacketPtr into the destination calendar with its origin pool unchanged,
@@ -89,14 +89,13 @@ Simulator::~Simulator() {
 
 void Simulator::configure_shards(int shards, TimeNs lookahead, ShardExec exec) {
   UFAB_CHECK_MSG(!exec_started_, "configure_shards after a run started");
-  UFAB_CHECK_MSG(!canonical_, "configure_shards called twice");
+  UFAB_CHECK_MSG(clocks_.empty(), "configure_shards called twice");
   const Shard& s0 = *shards_.front();
-  UFAB_CHECK_MSG(shards_.size() == 1 && s0.processed == 0 && s0.next_seq == 0 &&
-                     s0.ring_size == 0 && s0.overflow.heap.empty() && root_k_ == 0,
+  UFAB_CHECK_MSG(s0.processed == 0 && s0.ring_size == 0 && s0.overflow.heap.empty() &&
+                     root_k_ == 0,
                  "configure_shards must precede all scheduling");
   UFAB_CHECK(shards >= 1 && shards <= kMaxShards);
   UFAB_CHECK(lookahead.ns() > 0);
-  canonical_ = true;
   lookahead_ = lookahead;
   exec_request_ = exec;
   for (int i = 1; i < shards; ++i) shards_.push_back(std::make_unique<Shard>(i));
@@ -197,7 +196,7 @@ void Simulator::worker_main(int shard_index) {
   }
 }
 
-/// Runs one synchronized legacy pass (single boundary) on every shard.
+/// Runs one synchronized single-boundary pass on every shard.
 /// Threaded mode: workers run their own shard while the coordinator (already
 /// scoped to shard 0 by the caller) runs shard 0.  Sequential mode: the
 /// coordinator runs each shard's pass in index order — byte-identical
@@ -360,18 +359,14 @@ void Simulator::pop_and_run_profiled(Shard& s, obs::ProfSlice& sl) {
   sl.bump(obs::ProfCat::kQueuePop);
   sl.bump(dispatch_cat);
   const std::int64_t t1 = timed ? obs::ProfClock::now() : 0;
-  if (canonical_) {
-    s.cur_id = event_identity(ev.h, ev.k);
-    s.cur_k = 0;
-    s.cur_raw_h = ev.h;
-    s.cur_raw_k = ev.k;
-    s.now_inclusive = false;
-    s.in_event = true;
-    ev.fn();
-    s.in_event = false;
-  } else {
-    ev.fn();
-  }
+  s.cur_id = event_identity(ev.h, ev.k);
+  s.cur_k = 0;
+  s.cur_raw_h = ev.h;
+  s.cur_raw_k = ev.k;
+  s.now_inclusive = false;
+  s.in_event = true;
+  ev.fn();
+  s.in_event = false;
   if (timed) {
     const std::int64_t t2 = obs::ProfClock::now();
     sl.add_sampled(obs::ProfCat::kQueuePop, t1 - t0);
@@ -532,7 +527,7 @@ bool Simulator::solo_run(int x, TimeNs limit) {
   return progressed;
 }
 
-/// Coordinator-only legacy injection round (workers parked): flushes and
+/// Coordinator-only injection round (workers parked): flushes and
 /// drains every mailbox, bulk-inserting crossings and returning freed
 /// storage.  Returns whether any injected crossing fires at or before
 /// `le_mark` — the run_until final-epoch loop uses this to know it must run
@@ -583,10 +578,7 @@ void Simulator::run_until_sharded(TimeNs t) {
       set_clocks(t, true);
       break;
     }
-    if (adaptive_ && shards_.size() > 1) {
-      const int x = single_active_shard();
-      if (x >= 0 && solo_run(x, t)) continue;
-    }
+    if (const int x = single_active_shard(); x >= 0 && solo_run(x, t)) continue;
     // Fast-forward: idle gaps cost one pass, not (gap / lookahead) of them.
     const TimeNs base = std::max(clock, earliest);
     if (lookahead_ == TimeNs::max() || t - base <= lookahead_) {
@@ -606,7 +598,8 @@ void Simulator::run_until_sharded(TimeNs t) {
       break;
     }
     // Multi-window epoch: as many full windows as fit strictly below t (the
-    // final stretch needs the inclusive rounds above), capped by the knob.
+    // final stretch needs the inclusive rounds above), capped by
+    // epoch_windows_.
     const std::int64_t la = lookahead_.ns();
     const std::int64_t span = t.ns() - base.ns();  // > la here
     const int w = static_cast<int>(
@@ -636,10 +629,7 @@ void Simulator::run_sharded_drain() {
       run_pass(TimeNs::max(), true);
       continue;
     }
-    if (adaptive_ && shards_.size() > 1) {
-      const int x = single_active_shard();
-      if (x >= 0 && solo_run(x, TimeNs::max())) continue;
-    }
+    if (const int x = single_active_shard(); x >= 0 && solo_run(x, TimeNs::max())) continue;
     const std::int64_t la = lookahead_.ns();
     const int w = epoch_windows_;
     if (prof_ != nullptr) {
@@ -667,7 +657,6 @@ std::string Simulator::profile_json() const {
   ctx.shard_count = shard_count();
   ctx.threaded = threaded();
   ctx.lookahead_ns = lookahead_ == TimeNs::max() ? -1 : lookahead_.ns();
-  ctx.adaptive_epochs = adaptive_;
   ctx.epoch_windows = epoch_windows_;
   ctx.handoff_max_batch = handoff_max_batch();
   ctx.mailbox_flushes = mailbox_flushes_total();

@@ -14,28 +14,18 @@
 // without touching the events themselves, and a closure is moved exactly once
 // in (into its slot) and once out (when it fires).
 //
-// Ordering comes in two modes, distinguished only by how (h, k) is stamped —
-// the comparator and the queues are identical:
-//
-//  * Default (single shard, no configure_shards): h is a global scheduling
-//    sequence number and k is 0, so the pop order is exactly the (time, seq)
-//    total order of the old priority_queue — FIFO tie-break included — and
-//    results are byte-identical to the pre-sharding engine (proven by
-//    tests/sim/calendar_queue_test.cpp).
-//
-//  * Canonical (configure_shards was called, any shard count >= 1): h is a
-//    mixed 64-bit identity of the *scheduling parent* (the event whose
-//    closure called at()/after(), or a fixed root id for setup code) and k
-//    counts that parent's children in order.  The key no longer depends on
-//    global scheduling interleavings — only on the causal tree, which is the
-//    same no matter how events are distributed across shards — so a 4-shard
-//    run fires events in exactly the order a 1-shard canonical run does.
-//    Within one parent, ties keep FIFO order (k increments); across parents
-//    at the same instant, the mixed identity is the arbiter.  (A 64-bit hash
-//    collision between two distinct parents scheduling at the same
-//    nanosecond would fall through to the slot index; at fig17 scale the
-//    probability is ~1e-10 per run and any such run would still be
-//    deterministic, just not provably shard-count-invariant.)
+// Ordering is canonical: h is a mixed 64-bit identity of the *scheduling
+// parent* (the event whose closure called at()/after(), or a fixed root id
+// for setup code) and k counts that parent's children in order.  The key does
+// not depend on global scheduling interleavings — only on the causal tree,
+// which is the same no matter how events are distributed across shards — so a
+// plain simulator, a 1-shard run, and a 4-shard run of the same experiment
+// fire events in exactly the same order.  Within one parent, ties keep FIFO
+// order (k increments); across parents at the same instant, the mixed
+// identity is the arbiter.  (A 64-bit hash collision between two distinct
+// parents scheduling at the same nanosecond would fall through to the slot
+// index; at fig17 scale the probability is ~1e-10 per run and any such run
+// would still be deterministic, just not provably shard-count-invariant.)
 //
 // Sharded execution (configure_shards(n > 1)) is conservative parallel DES:
 // shards advance through lookahead windows (the min propagation delay over
@@ -60,7 +50,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -89,12 +78,7 @@ enum class ShardExec : std::uint8_t {
 
 class Simulator {
  public:
-  Simulator() {
-    shards_.push_back(std::make_unique<Shard>(0));
-    if (const char* v = std::getenv("UFAB_FUSED_LINKS"); v != nullptr && v[0] == '0') {
-      fused_links_ = false;
-    }
-  }
+  Simulator() { shards_.push_back(std::make_unique<Shard>(0)); }
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -107,21 +91,13 @@ class Simulator {
   void at(TimeNs t, UniqueFunction fn) {
     Shard& s = active();
     UFAB_CHECK_MSG(t >= s.now, "scheduling into the past");
-    std::uint64_t h;
-    std::uint32_t k;
-    if (!canonical_) {
-      h = s.next_seq++;
-      k = 0;
-    } else if (s.in_event) {
-      h = s.cur_id;
-      k = s.cur_k++;
+    if (s.in_event) {
+      push(s, t, s.cur_id, s.cur_k++, std::move(fn));
     } else {
       // Setup/root context: all shards share one root identity and one FIFO
       // counter, so setup code keeps registration order across shards.
-      h = kRootIdentity;
-      k = root_k_++;
+      push(s, t, kRootIdentity, root_k_++, std::move(fn));
     }
-    push(s, t, h, k, std::move(fn));
   }
 
   /// Schedules `fn` after `delay` from now.
@@ -182,33 +158,29 @@ class Simulator {
 
   // --- sharding ---
 
-  /// Switches the engine to canonical ordering with `shards` event loops
-  /// synchronized in epochs of `lookahead` (the min prop delay over
-  /// cut links; TimeNs::max() when no link is cut).  Must be called before
-  /// any event is scheduled.  `shards == 1` still switches ordering to
-  /// canonical mode — that is how a 1-shard run produces the same schedule
-  /// as a 4-shard run of the same experiment.
+  /// Adds event loops: `shards` in total, synchronized in epochs of
+  /// `lookahead` (the min prop delay over cut links; TimeNs::max() when no
+  /// link is cut).  Ordering is unchanged — a 1-shard call only records the
+  /// lookahead and executor.  Must be called once, before any event is
+  /// scheduled.
   void configure_shards(int shards, TimeNs lookahead, ShardExec exec = ShardExec::kAuto);
 
   [[nodiscard]] int shard_count() const { return static_cast<int>(shards_.size()); }
-  [[nodiscard]] bool canonical_order() const { return canonical_; }
+  /// Always true: canonical (h, k) ordering is the engine's only mode.
+  [[nodiscard]] bool canonical_order() const { return true; }
   [[nodiscard]] TimeNs lookahead() const { return lookahead_; }
 
-  /// Adaptive epoch synchronization (DESIGN.md §12).  On: one coordinator
-  /// barrier spans `windows` lookahead windows (shards self-synchronize at
-  /// the interior boundaries through published clocks) and solo rounds skip
-  /// barriers entirely.  Off (`on == false`): every window pays a barrier and
-  /// solo skipping is disabled — the PR-4 epoch structure, kept as the A/B
-  /// baseline for determinism tests.  The schedule is byte-identical either
-  /// way (canonical (h,k) keys are partition- and batching-invariant).
-  /// Must be called before the first run.
-  void set_adaptive_epochs(bool on, int windows = 16) {
-    UFAB_CHECK_MSG(!exec_started_, "set_adaptive_epochs after a run started");
+  /// Epoch synchronization (DESIGN.md §12): one coordinator barrier spans
+  /// `windows` lookahead windows (shards self-synchronize at the interior
+  /// boundaries through published clocks), and solo rounds skip barriers
+  /// entirely.  The schedule is byte-identical for every width (canonical
+  /// (h,k) keys are partition- and batching-invariant).  Must be called
+  /// before the first run.
+  void set_epoch_windows(int windows) {
+    UFAB_CHECK_MSG(!exec_started_, "set_epoch_windows after a run started");
     UFAB_CHECK(windows >= 1);
-    adaptive_ = on;
-    epoch_windows_ = on ? windows : 1;
+    epoch_windows_ = windows;
   }
-  [[nodiscard]] bool adaptive_epochs() const { return adaptive_; }
   [[nodiscard]] int epoch_windows() const { return epoch_windows_; }
 
   /// Per-shard *outgoing* cut lookahead (min prop delay over the shard's
@@ -277,12 +249,11 @@ class Simulator {
   /// independent of the partition.  The packet itself is handed over —
   /// ownership transfers to the destination shard; its storage stays with
   /// the origin pool and returns there through the return mailboxes when the
-  /// destination releases it.  Only valid in canonical mode from inside a
-  /// running event.
+  /// destination releases it.  Only valid from inside a running event.
   void post_cross(int dst_shard, TimeNs at, Node* dst, PacketPtr pkt) {
     UFAB_PROF_SCOPE(obs::ProfCat::kMailboxPost);
     Shard& s = active();
-    UFAB_CHECK(canonical_ && s.in_event);
+    UFAB_CHECK(s.in_event);
     UFAB_CHECK(dst_shard >= 0 && dst_shard < shard_count() && dst_shard != s.index);
     ++s.crossings_posted;
     cross_ch(s.index, dst_shard)
@@ -301,21 +272,19 @@ class Simulator {
   /// context would have stamped — without scheduling anything.  The fused
   /// link pipeline reserves the slot the legacy serializer-end event would
   /// have occupied, so every descendant keeps its byte-identical key even
-  /// though the event itself never enters the calendar.  Canonical mode only.
+  /// though the event itself never enters the calendar.
   [[nodiscard]] ChildKey alloc_child_key() {
-    UFAB_CHECK(canonical_);
     Shard& s = active();
     if (s.in_event) return ChildKey{s.cur_id, s.cur_k++};
     return ChildKey{kRootIdentity, root_k_++};
   }
 
   /// Schedules `fn` at `t` under an explicit raw key instead of one stamped
-  /// from the current context (canonical mode only).  The fused pipeline
-  /// reproduces legacy delivery keys through this: the head departure is
-  /// scheduled with exactly the (h, k) the two-event chain would have used.
+  /// from the current context.  The fused pipeline reproduces legacy
+  /// delivery keys through this: the head departure is scheduled with
+  /// exactly the (h, k) the two-event chain would have used.
   void at_keyed(TimeNs t, std::uint64_t h, std::uint32_t k, UniqueFunction fn) {
     Shard& s = active();
-    UFAB_CHECK(canonical_);
     UFAB_CHECK_MSG(t >= s.now, "scheduling into the past");
     push(s, t, h, k, std::move(fn));
   }
@@ -334,7 +303,6 @@ class Simulator {
                         std::uint64_t h, std::uint32_t k) {
     UFAB_PROF_SCOPE(obs::ProfCat::kMailboxPost);
     Shard& s = active();
-    UFAB_CHECK(canonical_);
     UFAB_CHECK_MSG(s.in_event, "eager crossing posted outside an event");
     UFAB_CHECK(dst_shard >= 0 && dst_shard < shard_count() && dst_shard != s.index);
     ++s.crossings_posted;
@@ -365,15 +333,10 @@ class Simulator {
     return s.now_inclusive;
   }
 
-  /// Fused link pipelines (one resident calendar event per busy link instead
-  /// of two events per packet hop).  Default on; UFAB_FUSED_LINKS=0 is the
-  /// escape hatch / A-B baseline.  Links consult this at commit time, so it
-  /// must not change once packets are in flight.
-  [[nodiscard]] bool fused_links() const { return fused_links_; }
-  void set_fused_links(bool on) {
-    UFAB_CHECK_MSG(events_processed() == 0, "set_fused_links after events ran");
-    fused_links_ = on;
-  }
+  /// Always true: every eligible push link runs the fused pipeline (one
+  /// resident calendar event per busy link, DESIGN.md §13); which links are
+  /// eligible depends only on the link itself (Link::use_fused).
+  [[nodiscard]] bool fused_links() const { return true; }
 
   // --- per-shard introspection (obs gauges, tests; read between runs) ---
   [[nodiscard]] std::uint64_t shard_events_processed(int shard) const {
@@ -436,6 +399,10 @@ class Simulator {
   /// The per-run profile artifact (ufab-profile-v1 JSON): run context plus
   /// the shard x scope time matrix.  Empty string when profiling is off.
   [[nodiscard]] std::string profile_json() const;
+
+  /// Raw parent identity of events scheduled from setup code (outside any
+  /// event); their k is a FIFO counter shared by every shard.
+  static constexpr std::uint64_t kRootIdentity = 0x52EEDF00DDEADB01ull;
 
   /// The canonical identity an event gets from parent identity `h` and child
   /// index `k` (splitmix64-style finalizer).  Exposed so tests can mirror
@@ -508,8 +475,6 @@ class Simulator {
   static constexpr int kBucketShift = 9;  ///< 512 ns per bucket.
   static constexpr std::uint64_t kNumBuckets = 1024;  ///< ~0.5 ms near horizon.
   static constexpr int kMaxShards = 64;
-  /// Identity of the implicit root event (setup code outside any event).
-  static constexpr std::uint64_t kRootIdentity = 0x52EEDF00DDEADB01ull;
 
   /// One event loop: its own clock, calendar, packet pool, and outbox.  The
   /// pool is declared first so the event tiers (whose pending closures own
@@ -520,7 +485,6 @@ class Simulator {
     int index;
     PacketPool pool;
     TimeNs now = TimeNs::zero();
-    std::uint64_t next_seq = 0;  ///< Default-mode FIFO sequence.
     std::uint64_t processed = 0;
     std::vector<Bucket> ring;
     std::size_t ring_size = 0;
@@ -528,7 +492,7 @@ class Simulator {
     bool peeked_overflow = false;  ///< Tier of the last peek() result.
     Bucket overflow;
 
-    // Canonical-mode scheduling context (the currently executing event).
+    // Scheduling context (the currently executing event).
     std::uint64_t cur_id = 0;
     std::uint32_t cur_k = 0;
     bool in_event = false;
@@ -704,18 +668,14 @@ class Simulator {
     if (!s.peeked_overflow) --s.ring_size;
     s.now = ev.at;
     ++s.processed;
-    if (canonical_) {
-      s.cur_id = event_identity(ev.h, ev.k);
-      s.cur_k = 0;
-      s.cur_raw_h = ev.h;
-      s.cur_raw_k = ev.k;
-      s.now_inclusive = false;  // same-instant events may still be pending
-      s.in_event = true;
-      ev.fn();
-      s.in_event = false;
-    } else {
-      ev.fn();
-    }
+    s.cur_id = event_identity(ev.h, ev.k);
+    s.cur_k = 0;
+    s.cur_raw_h = ev.h;
+    s.cur_raw_k = ev.k;
+    s.now_inclusive = false;  // same-instant events may still be pending
+    s.in_event = true;
+    ev.fn();
+    s.in_event = false;
   }
 
   /// The shard this thread's scheduling calls resolve to: the scoped/worker
@@ -781,12 +741,9 @@ class Simulator {
   std::vector<std::unique_ptr<ShardMailbox<Packet*>>> ret_ch_;
   /// Per-shard published clocks for intra-epoch window synchronization.
   std::vector<std::unique_ptr<ShardClockSlot>> clocks_;
-  bool canonical_ = false;
   TimeNs lookahead_ = TimeNs::max();
   std::uint32_t root_k_ = 0;  ///< FIFO counter for root-context scheduling.
 
-  bool fused_links_ = true;  ///< Fused link pipelines (UFAB_FUSED_LINKS=0 off).
-  bool adaptive_ = true;    ///< Multi-window epochs + solo barrier skipping.
   int epoch_windows_ = 16;  ///< Lookahead windows per coordinator barrier.
   std::vector<TimeNs> shard_out_la_;  ///< Per-shard outgoing cut lookahead.
 
@@ -800,7 +757,7 @@ class Simulator {
   TimeNs pass_boundary_ = TimeNs::zero();
   bool pass_inclusive_ = false;
   TimeNs pass_base_ = TimeNs::zero();  ///< Windowed pass: first window start.
-  int pass_windows_ = 0;               ///< 0 = legacy single-boundary pass.
+  int pass_windows_ = 0;               ///< 0 = single-boundary pass.
   std::uint64_t pass_gen_ = 0;
   std::uint64_t injected_noted_ = 0;  ///< Crossings already reported to prof_.
   std::unique_ptr<obs::Profiler> prof_;  ///< Null = profiling disabled.

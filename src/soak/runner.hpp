@@ -66,7 +66,7 @@ struct SoakOptions {
   // --- output / plumbing ---
   std::string csv_path;       ///< Per-window SLO rows; empty = summaries only.
   bool observability = true;  ///< Metrics + flight recorder (datapath events off).
-  int shards = 0;             ///< >0: configure canonical sharding; 0: UFAB_SHARDS/serial.
+  int shards = 0;             ///< >0: configure sharding; 0: UFAB_SHARDS/serial.
 
   /// Reads UFAB_SOAK_SEED / UFAB_SOAK_DURATION_S / UFAB_SOAK_WINDOW_MS /
   /// UFAB_SOAK_CSV / UFAB_SOAK_SMOKE on top of the defaults.

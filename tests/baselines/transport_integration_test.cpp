@@ -3,6 +3,8 @@
 // These pin down the *qualitative* behaviours the paper's evaluation relies
 // on: the baselines work, but converge slowly, and ES+Clove keeps guarantees
 // at the cost of fabric queueing.
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "src/harness/fabric.hpp"
@@ -58,7 +60,11 @@ TEST(PwcIntegration, ConvergenceOnJoinIsSlowerThanUfab) {
   // core re-divides the link within a couple of RTTs.
   // Weighted setup (4:1): the joining flow must *settle at* its weighted
   // share, not merely touch it — AIMD overshoots and oscillates.
-  const auto time_to_settle = [](Scheme s) {
+  struct Join {
+    TimeNs settle;      ///< Time after the join to hold +-30% for 5 ms.
+    double mean_error;  ///< Mean |rate - share| / share over [25, 100) ms.
+  };
+  const auto join = [](Scheme s) {
     World w(s, dumbbell_for(s));
     auto& vms = w.fab.vms();
     const TenantId ta = vms.add_tenant("A", 4_Gbps);
@@ -69,18 +75,31 @@ TEST(PwcIntegration, ConvergenceOnJoinIsSlowerThanUfab) {
     w.fab.keep_backlogged(pb, 20_ms, 100_ms);  // B joins a saturated trunk
     w.fab.sim().run_until(100_ms);
     RateMeter* m = w.fab.pair_meter(pb);
-    if (m == nullptr) return TimeNs::max();
-    // B's weighted share is 9.5/5 = 1.9 Gbps; require +-30% held for 5 ms.
+    if (m == nullptr) return Join{TimeNs::max(), 1.0};
+    // B's weighted share is 9.5/5 = 1.9 Gbps.
+    constexpr double kShare = 1.9;
     TimeSeries ts;
-    for (const auto& sm : m->series(100_ms)) ts.add(sm.at, sm.rate.gbit_per_sec());
-    const TimeNs settle = ts.settle_time(20_ms, 1.9 * 0.7, 1.9 * 1.3, 5_ms);
-    return settle == TimeNs::max() ? settle : settle - 20_ms;
+    double error = 0.0;
+    int buckets = 0;
+    for (const auto& sm : m->series(100_ms)) {
+      ts.add(sm.at, sm.rate.gbit_per_sec());
+      if (sm.at >= 25_ms && sm.at < 100_ms) {
+        error += std::abs(sm.rate.gbit_per_sec() - kShare) / kShare;
+        ++buckets;
+      }
+    }
+    const TimeNs settle = ts.settle_time(20_ms, kShare * 0.7, kShare * 1.3, 5_ms);
+    return Join{settle == TimeNs::max() ? settle : settle - 20_ms,
+                buckets > 0 ? error / buckets : 1.0};
   };
-  const TimeNs ufab_t = time_to_settle(Scheme::kUfab);
-  const TimeNs pwc_t = time_to_settle(Scheme::kPwc);
-  EXPECT_LE(ufab_t, 2_ms);
-  EXPECT_TRUE(pwc_t == TimeNs::max() || pwc_t > ufab_t * 2)
-      << "pwc=" << pwc_t.ms() << "ms ufab=" << ufab_t.ms() << "ms";
+  const Join ufab = join(Scheme::kUfab);
+  const Join pwc = join(Scheme::kPwc);
+  EXPECT_LE(ufab.settle, 2_ms);
+  // PWC's pair runs well above its share after the join (AIMD never backs
+  // off to the weighted split), so it tracks the share at least 2x worse
+  // than uFAB's pair does.
+  EXPECT_GE(pwc.mean_error, 2.0 * ufab.mean_error)
+      << "pwc=" << pwc.mean_error * 100 << "% ufab=" << ufab.mean_error * 100 << "%";
 }
 
 TEST(PwcIntegration, ReceiverCreditsProtectDownlinkFairness) {

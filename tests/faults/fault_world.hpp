@@ -24,7 +24,7 @@ struct FaultWorld {
   harness::Fabric fab;
   FaultPlane plane;
 
-  /// `shards` > 0 switches the engine into canonical sharded mode before any
+  /// `shards` > 0 partitions the engine into that many shards before any
   /// instrumentation schedules events (configure_sharding must come first).
   explicit FaultWorld(const harness::Fabric::Builder& builder, edge::EdgeConfig cfg = {},
                       telemetry::CoreConfig core = fault_test_core_config(),

@@ -1,13 +1,9 @@
 // Fused link pipelines under fault injection (DESIGN.md §13): a flap schedule
-// must produce identical recovery behaviour whether the engine runs the fused
-// or the legacy serializer, on any partition.  The fault plane pins flapped
-// links back to the legacy path on every partition (a fused cut link's
+// must produce identical recovery behaviour whether the links run the fused
+// or the two-event serializer, on any partition.  The fault plane pins
+// flapped links to the two-event path on every partition (a fused cut link's
 // eagerly posted crossings could not be recalled by set_down), so the pin
 // itself must be schedule-neutral.
-#include <cstdlib>
-#include <optional>
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "tests/faults/fault_world.hpp"
@@ -17,32 +13,6 @@ namespace {
 
 using namespace ufab::time_literals;
 using namespace ufab::unit_literals;
-
-/// Scoped setenv, restored on destruction.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 struct FlapOutcome {
   std::int64_t link_downs = 0;
@@ -55,19 +25,22 @@ struct FlapOutcome {
 };
 
 /// A backlogged pair across a leaf-spine whose ToR uplink flaps repeatedly
-/// mid-stream; shards > 0 switches the engine into canonical sharded mode
-/// (which is what makes the fused path eligible at all), and at 2 shards the
-/// flapped uplink is a cut link — the case the fault plane's pin protects.
+/// mid-stream.  `fused == false` pins every link to the two-event serializer
+/// before any traffic (the reference); otherwise only the flapped trunk is
+/// pinned, by the fault plane.  At 2 shards the flapped uplink is a cut
+/// link — the case the fault plane's pin protects.
 FlapOutcome run_flap_scenario(bool fused, int shards) {
-  EnvGuard g("UFAB_FUSED_LINKS", fused ? nullptr : "0");
   FaultWorld w([](sim::Simulator& s) { return topo::make_leaf_spine(s, 2, 2, 2); }, {},
                fault_test_core_config(), 7, 42, shards);
+  if (!fused) {
+    for (sim::Link* link : w.fab.net().links()) link->pin_legacy();
+  }
   const TenantId t = w.fab.vms().add_tenant("A", 2_Gbps);
   const VmPairId pair{w.fab.vms().add_vm(t, HostId{0}), w.fab.vms().add_vm(t, HostId{2})};
   w.fab.keep_backlogged(pair, 0_ms, 30_ms);
   // uFAB source-routes the pair over one of the two spines; flap both ToR-0
   // uplinks so the outage hits the chosen trunk regardless of which spine the
-  // edge picked.  The plane pins both to the legacy serializer at arm time
+  // edge picked.  The plane pins both to the two-event serializer at arm time
   // (before any traffic), while every other link stays fused.  Three 1 ms
   // outages, one per 4 ms period, each aborting in-flight serializations.
   const auto paths = w.fab.net().paths(HostId{0}, HostId{2});
@@ -92,7 +65,7 @@ TEST(FusedFaults, FlapRecoveryIdenticalAcrossSerializersAndPartitions) {
   ASSERT_EQ(legacy.link_downs, 6);
   EXPECT_GT(legacy.drops, 0);           // the flap aborted live traffic
   EXPECT_GT(legacy.rate_after, 1.5);    // and the pair recovered
-  // The flapped trunk is pinned to the legacy serializer, but every other
+  // The flapped trunk is pinned to the two-event serializer, but every other
   // link still fuses — all observables must nonetheless match bit for bit.
   const FlapOutcome fused = run_flap_scenario(true, 1);
   EXPECT_EQ(fused.link_downs, legacy.link_downs);

@@ -61,7 +61,9 @@ class EnvGuard {
   std::optional<std::string> saved_;
 };
 
-Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed) {
+/// `pin_links` pins every link to the two-event serializer before traffic —
+/// the reference the fused pipelines must reproduce.
+Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = false) {
   Experiment exp(
       scheme,
       [](sim::Simulator& s, const topo::FabricOptions& o) {
@@ -70,6 +72,9 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed) {
       {}, {}, seed);
   auto& fab = exp.fab();
   auto& vms = fab.vms();
+  if (pin_links) {
+    for (sim::Link* link : fab.net().links()) link->pin_legacy();
+  }
 
   std::vector<VmPairId> pairs;
   Rng pair_rng = fab.rng().fork("pairs");
@@ -102,14 +107,14 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed) {
   return snap;
 }
 
+/// `shards == nullptr` leaves UFAB_SHARDS unset: the plain serial engine.
 Snapshot run_with_shards(const char* shards, const char* exec, Scheme scheme,
-                         std::uint64_t seed, const char* adaptive = nullptr,
-                         const char* windows = nullptr) {
+                         std::uint64_t seed, const char* windows = nullptr,
+                         bool pin_links = false) {
   EnvGuard g1("UFAB_SHARDS", shards);
   EnvGuard g2("UFAB_SHARD_EXEC", exec);
-  EnvGuard g3("UFAB_ADAPTIVE_EPOCHS", adaptive);
-  EnvGuard g4("UFAB_EPOCH_WINDOWS", windows);
-  return run_tiny_fig17(scheme, seed);
+  EnvGuard g3("UFAB_EPOCH_WINDOWS", windows);
+  return run_tiny_fig17(scheme, seed, pin_links);
 }
 
 TEST(ShardedDeterminism, OneTwoFourEightShardsAreBitIdentical) {
@@ -133,27 +138,35 @@ TEST(ShardedDeterminism, ThreadedExecutionMatchesSequential) {
 }
 
 TEST(ShardedDeterminism, AdaptiveEpochsAreScheduleNeutral) {
-  // The legacy one-window cadence is the reference; multi-window adaptive
-  // epochs (any width, either executor) must reproduce it bit for bit.
-  const Snapshot legacy = run_with_shards("4", "seq", Scheme::kUfab, 41, "0");
-  ASSERT_FALSE(legacy.fct_us.empty());
-  EXPECT_EQ(legacy, run_with_shards("4", "seq", Scheme::kUfab, 41, "1", "4"));
-  EXPECT_EQ(legacy, run_with_shards("4", "seq", Scheme::kUfab, 41, "1", "16"));
-  EXPECT_EQ(legacy, run_with_shards("4", "threads", Scheme::kUfab, 41, "1", "16"));
-  EXPECT_EQ(legacy, run_with_shards("8", "threads", Scheme::kUfab, 41, "1", "16"));
-  EXPECT_EQ(legacy, run_with_shards("8", "seq", Scheme::kUfab, 41, "0"));
+  // One barrier per lookahead window is the reference; multi-window epochs
+  // (any width, either executor) must reproduce it bit for bit.
+  const Snapshot one = run_with_shards("4", "seq", Scheme::kUfab, 41, "1");
+  ASSERT_FALSE(one.fct_us.empty());
+  EXPECT_EQ(one, run_with_shards("4", "seq", Scheme::kUfab, 41, "4"));
+  EXPECT_EQ(one, run_with_shards("4", "seq", Scheme::kUfab, 41, "16"));
+  EXPECT_EQ(one, run_with_shards("4", "threads", Scheme::kUfab, 41, "16"));
+  EXPECT_EQ(one, run_with_shards("8", "threads", Scheme::kUfab, 41, "16"));
+  EXPECT_EQ(one, run_with_shards("8", "seq", Scheme::kUfab, 41, "1"));
+}
+
+TEST(ShardedDeterminism, PlainEngineMatchesOneShard) {
+  // No UFAB_SHARDS at all is the same engine as UFAB_SHARDS=1: one ordering
+  // mode, one schedule, byte-identical results and event counts.
+  const Snapshot plain = run_with_shards(nullptr, nullptr, Scheme::kUfab, 41);
+  ASSERT_FALSE(plain.fct_us.empty());
+  EXPECT_EQ(plain, run_with_shards("1", nullptr, Scheme::kUfab, 41));
+  EXPECT_EQ(plain, run_with_shards("4", "threads", Scheme::kUfab, 41));
 }
 
 TEST(ShardedDeterminism, FusedLinksMatchLegacySerializerBitForBit) {
-  // UFAB_FUSED_LINKS=0 is the escape hatch back to the two-event serializer;
-  // with it on (the default) every observable statistic must survive byte
-  // for byte — only the event count may change, and it must shrink.
-  auto run_fused = [](const char* shards, const char* exec, const char* fused) {
-    EnvGuard g("UFAB_FUSED_LINKS", fused);
-    return run_with_shards(shards, exec, Scheme::kUfab, 41);
+  // Every link pinned to the two-event serializer is the reference; with
+  // fused pipelines (the default) every observable statistic must survive
+  // byte for byte — only the event count may change, and it must shrink.
+  auto run_fused = [](const char* shards, const char* exec, bool pinned) {
+    return run_with_shards(shards, exec, Scheme::kUfab, 41, nullptr, pinned);
   };
-  const Snapshot legacy = run_fused("1", nullptr, "0");
-  const Snapshot fused = run_fused("1", nullptr, nullptr);
+  const Snapshot legacy = run_fused("1", nullptr, true);
+  const Snapshot fused = run_fused("1", nullptr, false);
   ASSERT_FALSE(fused.fct_us.empty());
   EXPECT_EQ(fused.pair_rates_gbps, legacy.pair_rates_gbps);
   EXPECT_EQ(fused.fct_us, legacy.fct_us);
@@ -162,10 +175,10 @@ TEST(ShardedDeterminism, FusedLinksMatchLegacySerializerBitForBit) {
   EXPECT_LT(fused.events, legacy.events);  // the point of fusing
 
   // The fused schedule is itself partition- and executor-invariant...
-  EXPECT_EQ(fused, run_fused("4", "seq", nullptr));
-  EXPECT_EQ(fused, run_fused("4", "threads", nullptr));
-  // ...and so is the escape hatch.
-  EXPECT_EQ(legacy, run_fused("4", "threads", "0"));
+  EXPECT_EQ(fused, run_fused("4", "seq", false));
+  EXPECT_EQ(fused, run_fused("4", "threads", false));
+  // ...and so is the pinned reference.
+  EXPECT_EQ(legacy, run_fused("4", "threads", true));
 }
 
 TEST(ShardedDeterminism, HoldsAcrossSchemesAndSeeds) {

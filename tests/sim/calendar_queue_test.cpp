@@ -1,9 +1,9 @@
 // The calendar-queue future-event list must be observationally identical to
-// the straightforward reference: a priority queue over (time, seq) with FIFO
-// tie-breaking.  These tests drive both through the same randomized schedules
-// — including events scheduled from inside running events, far-horizon events
-// that live in the overflow tier, and same-time bursts — and require the
-// exact same firing order.
+// the straightforward reference: a priority queue over the canonical
+// (time, h, k) key.  These tests drive both through the same randomized
+// schedules — including events scheduled from inside running events,
+// far-horizon events that live in the overflow tier, and same-time bursts —
+// and require the exact same firing order.
 #include <algorithm>
 #include <cstdint>
 #include <queue>
@@ -18,12 +18,16 @@
 namespace ufab::sim {
 namespace {
 
-/// Reference future-event list: the semantics the simulator must preserve.
+/// Reference future-event list: the canonical key order the simulator must
+/// preserve.  Setup events are keyed (root identity, root FIFO counter); an
+/// event's children are keyed (event_identity of its own key, child index).
 class ReferenceQueue {
  public:
-  void at(std::int64_t t, int label) { heap_.push(Ref{t, next_seq_++, label}); }
+  void at(std::int64_t t, int label) {
+    heap_.push(Ref{t, Simulator::kRootIdentity, root_k_++, label});
+  }
 
-  /// Pops every event in (time, seq) order, invoking `child_fn(label)` to get
+  /// Pops every event in (time, h, k) order, invoking `child_fn(label)` to get
   /// the same follow-up events the simulator's callbacks schedule.
   template <typename ChildFn>
   std::vector<int> drain(const ChildFn& child_fn) {
@@ -32,8 +36,10 @@ class ReferenceQueue {
       const Ref top = heap_.top();
       heap_.pop();
       order.push_back(top.label);
+      const std::uint64_t parent = Simulator::event_identity(top.h, top.k);
+      std::uint32_t k = 0;
       for (const auto& [dt, child_label] : child_fn(top.label)) {
-        at(top.t + dt, child_label);
+        heap_.push(Ref{top.t + dt, parent, k++, child_label});
       }
     }
     return order;
@@ -42,15 +48,17 @@ class ReferenceQueue {
  private:
   struct Ref {
     std::int64_t t;
-    std::uint64_t seq;
+    std::uint64_t h;
+    std::uint32_t k;
     int label;
     bool operator>(const Ref& o) const {
       if (t != o.t) return t > o.t;
-      return seq > o.seq;
+      if (h != o.h) return h > o.h;
+      return k > o.k;
     }
   };
   std::priority_queue<Ref, std::vector<Ref>, std::greater<>> heap_;
-  std::uint64_t next_seq_ = 0;
+  std::uint32_t root_k_ = 0;
 };
 
 /// Children are a pure function of the parent label, so the reference and the

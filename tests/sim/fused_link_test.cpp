@@ -1,8 +1,8 @@
 // Fused link pipelines (DESIGN.md §13): one resident calendar event per busy
 // link, with delivery times, drop accounting, telemetry, and flap semantics
-// byte-identical to the legacy two-event serializer.  Canonical ordering
-// (configure_shards) is what makes the fused path eligible; the same
-// scenarios are replayed against the legacy serializer to pin equivalence.
+// byte-identical to the two-event serializer.  Every push link fuses; the same
+// scenarios are replayed against a pinned link (pin_legacy, the two-event
+// serializer the fault plane uses) to pin equivalence.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,14 +36,17 @@ PacketPtr make_data(std::int32_t bytes) {
                       HostId{1}, bytes);
 }
 
-/// A canonical-order serial simulator with fused pipelines on or off.
+/// A serial simulator with one link, either fused or pinned to the two-event
+/// serializer before any traffic (the reference the fused path must match).
 struct World {
-  explicit World(bool fused, TimeNs prop = 1_us) : sink(sim) {
-    sim.configure_shards(1, TimeNs::max());
-    sim.set_fused_links(fused);
-    link = std::make_unique<Link>(sim, LinkId{0}, "l", &sink,
-                                  LinkConfig{10_Gbps, prop, 1'000'000, -1, 0.95});
+  explicit World(bool fused, TimeNs prop = 1_us) : fused(fused), sink(sim) {
+    set_link(LinkConfig{10_Gbps, prop, 1'000'000, -1, 0.95});
   }
+  void set_link(LinkConfig cfg) {
+    link = std::make_unique<Link>(sim, LinkId{0}, "l", &sink, cfg);
+    if (!fused) link->pin_legacy();
+  }
+  bool fused;
   Simulator sim;
   SinkNode sink;
   std::unique_ptr<Link> link;
@@ -124,8 +127,7 @@ TEST(FusedLink, TailDropAndEcnMatchLegacy) {
   // packet, so of five arrivals two must drop on both serializer paths.
   for (const bool fused : {false, true}) {
     World w(fused);
-    w.link = std::make_unique<Link>(w.sim, LinkId{0}, "l", &w.sink,
-                                    LinkConfig{10_Gbps, 1_us, 3000, -1, 0.95});
+    w.set_link(LinkConfig{10_Gbps, 1_us, 3000, -1, 0.95});
     for (int i = 0; i < 5; ++i) w.link->enqueue(make_data(1500));
     w.sim.run();
     ASSERT_EQ(w.sink.arrivals.size(), 3u) << "fused=" << fused;
@@ -135,10 +137,8 @@ TEST(FusedLink, TailDropAndEcnMatchLegacy) {
   // threshold at enqueue) must be identical packet by packet.
   World legacy(false);
   World marked(true);
-  legacy.link = std::make_unique<Link>(legacy.sim, LinkId{0}, "l", &legacy.sink,
-                                       LinkConfig{10_Gbps, 1_us, 1'000'000, 2000, 0.95});
-  marked.link = std::make_unique<Link>(marked.sim, LinkId{0}, "l", &marked.sink,
-                                       LinkConfig{10_Gbps, 1_us, 1'000'000, 2000, 0.95});
+  legacy.set_link(LinkConfig{10_Gbps, 1_us, 1'000'000, 2000, 0.95});
+  marked.set_link(LinkConfig{10_Gbps, 1_us, 1'000'000, 2000, 0.95});
   for (int i = 0; i < 4; ++i) {
     legacy.link->enqueue(make_data(1500));
     marked.link->enqueue(make_data(1500));
@@ -241,16 +241,87 @@ TEST(FusedLink, LegacyOnlyModesStayOnLegacyPath) {
   EXPECT_EQ(filtered.link->pipe_depth(), 0u);
 }
 
-TEST(FusedLink, DefaultOrderModeStaysOnLegacyPath) {
-  // Without configure_shards there is no canonical key space to reproduce,
-  // so the fused path must not engage even when enabled.
+TEST(FusedLink, DefaultSimulatorFusesOneEventPerHop) {
+  // A default-constructed simulator needs no setup for the fused path: the
+  // burst fills the pipe behind one resident event, and the run retires
+  // exactly one calendar event per packet hop.
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, LinkConfig{10_Gbps, 1_us, 1'000'000, -1, 0.95});
-  link.enqueue(make_data(1500));
-  EXPECT_EQ(link.pipe_depth(), 0u);
+  Link link(sim, LinkId{0}, "l", &sink, LinkConfig{10_Gbps, 100_us, 1'000'000, -1, 0.95});
+  for (int i = 0; i < 8; ++i) link.enqueue(make_data(1500));
+  EXPECT_EQ(link.pipe_depth(), 8u);
+  EXPECT_EQ(sim.pending(), 1u);
   sim.run();
-  EXPECT_EQ(sink.arrivals.size(), 1u);
+  ASSERT_EQ(sink.arrivals.size(), 8u);
+  EXPECT_EQ(sink.arrivals[7].first, TimeNs{109'600});  // 8 x 1.2 us + 100 us
+  EXPECT_EQ(sim.events_processed(), 8u);
+  EXPECT_EQ(link.pipe_depth(), 0u);
+}
+
+/// What a link exposes over one scripted run: arrivals plus telemetry
+/// sampled at fixed instants.
+struct PinTrace {
+  std::vector<std::pair<TimeNs, std::int32_t>> arrivals;
+  std::vector<std::int64_t> tx_bytes;
+  std::vector<std::int64_t> queue_bytes;
+  std::int64_t drops = 0;
+  bool operator==(const PinTrace&) const = default;
+};
+
+/// Five MTUs admitted at t=0 into a 6 KB queue (a sixth tail-drops; ser-ends
+/// 1.2 .. 6.0 us on a 10 us link), a second burst at 3 us that partly
+/// tail-drops, and optionally an outage over [4, 4.5) us followed by one more
+/// packet.  The link is pinned before any traffic (`pin_at` < 0) or at
+/// `pin_at`, with whatever the fused pipe holds at that moment.
+PinTrace pin_scenario(TimeNs pin_at, bool flap) {
+  World w(true);
+  w.set_link(LinkConfig{10_Gbps, 10_us, 6000, -1, 0.95});
+  if (pin_at < TimeNs::zero()) w.link->pin_legacy();
+  PinTrace out;
+  const auto sample = [&](TimeNs at) {
+    w.sim.run_until(at);
+    out.tx_bytes.push_back(w.link->tx_bytes_cum());
+    out.queue_bytes.push_back(w.link->queue_bytes());
+  };
+  for (int i = 0; i < 6; ++i) w.link->enqueue(make_data(1500));
+  if (pin_at >= TimeNs::zero()) {
+    w.sim.run_until(pin_at);
+    w.link->pin_legacy();
+    EXPECT_EQ(w.link->pipe_depth() == 0, pin_at < TimeNs{1200});
+  }
+  sample(TimeNs{3000});
+  for (int i = 0; i < 5; ++i) w.link->enqueue(make_data(1500));
+  sample(TimeNs{3600});
+  if (flap) {
+    sample(TimeNs{4000});
+    w.link->set_down(true);
+    sample(TimeNs{4500});
+    w.link->set_down(false);
+    w.link->enqueue(make_data(700));
+  }
+  for (const TimeNs at : {TimeNs{5000}, TimeNs{7200}, TimeNs{20'000}}) sample(at);
+  w.sim.run();
+  for (const auto& [at, pkt] : w.sink.arrivals) out.arrivals.push_back({at, pkt->size_bytes});
+  out.drops = w.link->drops();
+  EXPECT_EQ(w.link->pipe_depth(), 0u);
+  return out;
+}
+
+TEST(FusedLink, PinMidPipelineMatchesPinBeforeTraffic) {
+  // Pinning a link with fused traffic (the fault plane arming mid-run) hands
+  // the pipe to the two-event serializer: packets on the wire still arrive,
+  // the one being serialized finishes at its own time, and the rest queue.
+  // Pinned at 600 ns the head itself is mid-serialization; at 3 us two
+  // packets propagate, one serializes and two wait.  The outage variant
+  // aborts the handed-over serialization while packets are still on the wire.
+  for (const bool flap : {false, true}) {
+    const PinTrace ref = pin_scenario(TimeNs{-1}, flap);
+    ASSERT_EQ(ref.arrivals.size(), flap ? 4u : 7u) << "flap=" << flap;
+    EXPECT_EQ(ref.drops, flap ? 8 : 4) << "flap=" << flap;
+    for (const TimeNs pin_at : {TimeNs{600}, TimeNs{3000}}) {
+      EXPECT_EQ(pin_scenario(pin_at, flap), ref) << "pin_at=" << pin_at.ns() << " flap=" << flap;
+    }
+  }
 }
 
 }  // namespace

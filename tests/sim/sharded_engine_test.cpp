@@ -91,13 +91,13 @@ struct TwoShardRun {
   std::int64_t final_now = 0;
 };
 
-TwoShardRun run_two_shard_workload(ShardExec exec, bool adaptive = true, int windows = 16,
+TwoShardRun run_two_shard_workload(ShardExec exec, int windows = 16,
                                    std::uint64_t* epochs_out = nullptr) {
   constexpr std::int64_t kLookahead = 1000;
   constexpr TimeNs kEnd{40'000};
   Simulator sim;
   sim.configure_shards(2, TimeNs{kLookahead}, exec);
-  sim.set_adaptive_epochs(adaptive, windows);
+  sim.set_epoch_windows(windows);
   if (epochs_out != nullptr) {
     obs::ProfOptions popts;
     popts.level = 1;
@@ -170,25 +170,22 @@ TEST(ShardedEngine, ThreadedEpochsMatchSequentialExactly) {
 }
 
 TEST(ShardedEngine, AdaptiveEpochsAreScheduleNeutral) {
-  // Every (adaptive, windows, exec) combination must fire the identical
-  // schedule: multi-window epochs only change *when barriers happen*, never
-  // what runs between them (DESIGN.md §12).
-  const TwoShardRun base = run_two_shard_workload(ShardExec::kSequential, false, 1);
+  // Every (windows, exec) combination must fire the identical schedule:
+  // multi-window epochs only change *when barriers happen*, never what runs
+  // between them (DESIGN.md §12).
+  const TwoShardRun base = run_two_shard_workload(ShardExec::kSequential, 1);
   ASSERT_GT(base.chain_times[0].size(), 10u);
   struct Combo {
     ShardExec exec;
-    bool adaptive;
     int windows;
   };
-  for (const Combo c : {Combo{ShardExec::kSequential, true, 4},
-                        Combo{ShardExec::kSequential, true, 16},
-                        Combo{ShardExec::kThreads, false, 1},
-                        Combo{ShardExec::kThreads, true, 4},
-                        Combo{ShardExec::kThreads, true, 16}}) {
-    const TwoShardRun run = run_two_shard_workload(c.exec, c.adaptive, c.windows);
+  for (const Combo c : {Combo{ShardExec::kSequential, 4}, Combo{ShardExec::kSequential, 16},
+                        Combo{ShardExec::kThreads, 1}, Combo{ShardExec::kThreads, 4},
+                        Combo{ShardExec::kThreads, 16}}) {
+    const TwoShardRun run = run_two_shard_workload(c.exec, c.windows);
     for (int s = 0; s < 2; ++s) {
       EXPECT_EQ(base.chain_times[s], run.chain_times[s])
-          << "adaptive=" << c.adaptive << " windows=" << c.windows << " shard " << s;
+          << "windows=" << c.windows << " shard " << s;
       EXPECT_EQ(base.arrivals[s], run.arrivals[s]) << "shard " << s;
       EXPECT_EQ(base.crossings[s], run.crossings[s]) << "shard " << s;
     }
@@ -198,19 +195,19 @@ TEST(ShardedEngine, AdaptiveEpochsAreScheduleNeutral) {
 }
 
 TEST(ShardedEngine, AdaptiveEpochsAmortizeBarriers) {
-  // Same workload, profiled: the adaptive engine must reach the horizon with
-  // several-fold fewer coordinator barriers than the one-window-per-epoch
-  // legacy cadence (this is the whole point of the optimization).
-  std::uint64_t legacy = 0;
-  std::uint64_t adaptive = 0;
-  const TwoShardRun a = run_two_shard_workload(ShardExec::kSequential, false, 1, &legacy);
-  const TwoShardRun b = run_two_shard_workload(ShardExec::kSequential, true, 16, &adaptive);
+  // Same workload, profiled: 16-window epochs must reach the horizon with
+  // several-fold fewer coordinator barriers than one window per epoch (this
+  // is the whole point of multi-window epochs).
+  std::uint64_t one = 0;
+  std::uint64_t sixteen = 0;
+  const TwoShardRun a = run_two_shard_workload(ShardExec::kSequential, 1, &one);
+  const TwoShardRun b = run_two_shard_workload(ShardExec::kSequential, 16, &sixteen);
   EXPECT_EQ(a.events, b.events);
-  ASSERT_GT(legacy, 0u);
-  ASSERT_GT(adaptive, 0u);
-  EXPECT_LE(adaptive * 4, legacy)
-      << "adaptive epochs should amortize >=4x fewer barriers (legacy=" << legacy
-      << " adaptive=" << adaptive << ")";
+  ASSERT_GT(one, 0u);
+  ASSERT_GT(sixteen, 0u);
+  EXPECT_LE(sixteen * 4, one)
+      << "16-window epochs should amortize >=4x fewer barriers (windows=1: " << one
+      << ", windows=16: " << sixteen << ")";
 }
 
 TEST(ShardMailboxUnit, PostFlushDrainKeepsOrderAndCounts) {
