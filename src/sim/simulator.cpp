@@ -44,6 +44,7 @@
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <string>
 
@@ -83,8 +84,24 @@ Simulator::~Simulator() {
     s->overflow.slots.clear();
     s->overflow.free_idx.clear();
     s->ring_size = 0;
+    std::fill(std::begin(s->occupied), std::end(s->occupied), std::uint64_t{0});
     s->touched.clear();
   }
+}
+
+std::uint64_t Simulator::occupied_distance_far(const Shard& s, std::uint64_t from) {
+  std::uint64_t w = from >> 6;
+  std::uint64_t dist = 64 - (from & 63);
+  // kOccupancyWords steps revisit the starting word, whose bits below `from`
+  // are the wrapped-around tail of the ring.
+  for (std::uint64_t n = 0; n < kOccupancyWords; ++n, dist += 64) {
+    w = (w + 1) & (kOccupancyWords - 1);
+    if (s.occupied[w] != 0) {
+      return dist + static_cast<std::uint64_t>(std::countr_zero(s.occupied[w]));
+    }
+  }
+  UFAB_CHECK_MSG(false, "calendar ring non-empty but its occupancy bitmap is clear");
+  return 0;
 }
 
 void Simulator::configure_shards(int shards, TimeNs lookahead, ShardExec exec) {
@@ -347,11 +364,7 @@ void Simulator::pop_and_run_profiled(Shard& s, obs::ProfSlice& sl) {
   obs::Profiler& p = *prof_;
   const bool timed = (sl.strided++ & p.timing_mask()) == 0;
   const std::int64_t t0 = timed ? obs::ProfClock::now() : 0;
-  Event ev = s.peeked_overflow ? bucket_pop<true>(s.overflow)
-                               : bucket_pop<false>(s.ring[s.cursor & (kNumBuckets - 1)]);
-  if (!s.peeked_overflow) --s.ring_size;
-  s.now = ev.at;
-  ++s.processed;
+  Event ev = pop_peeked(s);
   const obs::ProfCat dispatch_cat =
       ev.fn.invokes<DeliverEvent>() || ev.fn.invokes<FusedLinkDeliver>()
           ? obs::ProfCat::kDispatchDeliver
@@ -359,14 +372,7 @@ void Simulator::pop_and_run_profiled(Shard& s, obs::ProfSlice& sl) {
   sl.bump(obs::ProfCat::kQueuePop);
   sl.bump(dispatch_cat);
   const std::int64_t t1 = timed ? obs::ProfClock::now() : 0;
-  s.cur_id = event_identity(ev.h, ev.k);
-  s.cur_k = 0;
-  s.cur_raw_h = ev.h;
-  s.cur_raw_k = ev.k;
-  s.now_inclusive = false;
-  s.in_event = true;
-  ev.fn();
-  s.in_event = false;
+  run_event(s, ev);
   if (timed) {
     const std::int64_t t2 = obs::ProfClock::now();
     sl.add_sampled(obs::ProfCat::kQueuePop, t1 - t0);

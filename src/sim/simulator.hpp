@@ -12,7 +12,10 @@
 // which at 512 ns a bucket is constantly) and orders them through a small
 // heap of (time, h, k, slot) keys — sifts compare and move 24-byte keys
 // without touching the events themselves, and a closure is moved exactly once
-// in (into its slot) and once out (when it fires).
+// in (into its slot) and once out (when it fires).  A 1024-bit occupancy
+// bitmap beside the ring marks the non-empty buckets, so finding the next
+// event across idle simulated time costs one count-trailing-zeros per 64
+// buckets instead of a step per empty bucket.
 //
 // Ordering is canonical: h is a mixed 64-bit identity of the *scheduling
 // parent* (the event whose closure called at()/after(), or a fixed root id
@@ -49,6 +52,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -109,12 +113,15 @@ class Simulator {
       Shard& s = *shards_.front();
       if (prof_ != nullptr) {
         run_serial_profiled(s, TimeNs::max());
-        return;
+      } else {
+        while (peek(s) != nullptr) pop_and_run(s);
       }
-      while (peek(s) != nullptr) pop_and_run(s);
     } else {
       run_sharded_drain();
     }
+#ifndef NDEBUG
+    audit_occupancy();
+#endif
   }
 
   /// Runs all events with time <= `t`, then sets now to `t`.
@@ -135,6 +142,9 @@ class Simulator {
     } else {
       run_until_sharded(t);
     }
+#ifndef NDEBUG
+    audit_occupancy();
+#endif
   }
 
   [[nodiscard]] std::uint64_t events_processed() const {
@@ -474,6 +484,7 @@ class Simulator {
 
   static constexpr int kBucketShift = 9;  ///< 512 ns per bucket.
   static constexpr std::uint64_t kNumBuckets = 1024;  ///< ~0.5 ms near horizon.
+  static constexpr std::uint64_t kOccupancyWords = kNumBuckets / 64;
   static constexpr int kMaxShards = 64;
 
   /// One event loop: its own clock, calendar, packet pool, and outbox.  The
@@ -489,6 +500,9 @@ class Simulator {
     std::vector<Bucket> ring;
     std::size_t ring_size = 0;
     std::uint64_t cursor = 0;     ///< No ring events live in buckets before this.
+    /// Bit i set iff ring[i] holds events: set by ring_push/push_deferred,
+    /// cleared by ring_pop when a pop empties the bucket.
+    std::uint64_t occupied[kOccupancyWords] = {};
     bool peeked_overflow = false;  ///< Tier of the last peek() result.
     Bucket overflow;
 
@@ -564,9 +578,15 @@ class Simulator {
     return ev;
   }
 
+  static void mark_occupied(Shard& s, std::uint64_t i) {
+    s.occupied[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+
   static void ring_push(Shard& s, std::uint64_t ab, TimeNs t, std::uint64_t h, std::uint32_t k,
                         UniqueFunction&& fn) {
-    bucket_push<false>(s.ring[ab & (kNumBuckets - 1)], t, h, k, std::move(fn));
+    const std::uint64_t i = ab & (kNumBuckets - 1);
+    bucket_push<false>(s.ring[i], t, h, k, std::move(fn));
+    mark_occupied(s, i);
     ++s.ring_size;
     if (ab < s.cursor) s.cursor = ab;
   }
@@ -591,7 +611,8 @@ class Simulator {
       bucket_push<true>(s.overflow, t, h, k, std::move(fn));
       return;
     }
-    Bucket& b = s.ring[ab & (kNumBuckets - 1)];
+    const std::uint64_t i = ab & (kNumBuckets - 1);
+    Bucket& b = s.ring[i];
     if (b.fixup_from == Bucket::kNoFixup) {
       b.fixup_from = static_cast<std::uint32_t>(b.heap.size());
       s.touched.push_back(&b);
@@ -599,6 +620,7 @@ class Simulator {
     const auto idx = static_cast<std::uint32_t>(b.slots.size());
     b.slots.emplace_back(t, h, k, std::move(fn));
     b.heap.push_back(HeapEntry{t.ns(), h, k, idx});
+    mark_occupied(s, i);
     ++s.ring_size;
     if (ab < s.cursor) s.cursor = ab;
   }
@@ -639,15 +661,30 @@ class Simulator {
     }
   }
 
-  /// The earliest pending event, or nullptr.  Advances the bucket cursor past
-  /// empty buckets; `peeked_overflow` records which tier holds the result.
+  /// Distance from ring index `from` to the next occupied bucket, scanning
+  /// cyclically (`from` itself is distance 0).  Requires a set bit.  The
+  /// common case — an occupied bucket later in `from`'s own word — stays
+  /// inline; the word walk lives out of line (simulator.cpp) so it does not
+  /// bloat the run loop.
+  [[nodiscard]] static std::uint64_t occupied_distance(const Shard& s, std::uint64_t from) {
+    if (const std::uint64_t bits = s.occupied[from >> 6] >> (from & 63); bits != 0) {
+      return static_cast<std::uint64_t>(std::countr_zero(bits));
+    }
+    return occupied_distance_far(s, from);
+  }
+  [[nodiscard]] static std::uint64_t occupied_distance_far(const Shard& s, std::uint64_t from);
+
+  /// The earliest pending event, or nullptr.  Advances the bucket cursor to
+  /// the next occupied bucket; `peeked_overflow` records which tier holds
+  /// the result.
   [[nodiscard]] static const Event* peek(Shard& s) {
     migrate_overflow(s);
     if (s.ring_size > 0) {
       // Ring events are all within the window, so every index maps to one
-      // absolute bucket and scanning at most kNumBuckets finds the earliest.
+      // absolute bucket and the first occupied bucket at or cyclically after
+      // the cursor holds the earliest.
       if (s.cursor < abs_bucket(s.now)) s.cursor = abs_bucket(s.now);
-      while (s.ring[s.cursor & (kNumBuckets - 1)].empty()) ++s.cursor;
+      s.cursor += occupied_distance(s, s.cursor & (kNumBuckets - 1));
       s.peeked_overflow = false;
       const Bucket& b = s.ring[s.cursor & (kNumBuckets - 1)];
       return &b.slots[b.heap.front().idx];
@@ -661,13 +698,29 @@ class Simulator {
     return nullptr;
   }
 
-  /// Pops the event `peek()` just located and runs it.
-  void pop_and_run(Shard& s) {
-    Event ev = s.peeked_overflow ? bucket_pop<true>(s.overflow)
-                                 : bucket_pop<false>(s.ring[s.cursor & (kNumBuckets - 1)]);
-    if (!s.peeked_overflow) --s.ring_size;
+  /// Removes the event `peek()` just located from its tier and advances the
+  /// clock to it.  One named result, so the event is never moved twice.
+  [[nodiscard]] static Event pop_peeked(Shard& s) {
+    Event ev = s.peeked_overflow ? bucket_pop<true>(s.overflow) : ring_pop(s);
     s.now = ev.at;
     ++s.processed;
+    return ev;
+  }
+
+  /// Pops the earliest event of the bucket under the cursor — the one place a
+  /// pop can empty a ring bucket, hence the one place an occupancy bit is
+  /// cleared.
+  [[nodiscard]] static Event ring_pop(Shard& s) {
+    const std::uint64_t i = s.cursor & (kNumBuckets - 1);
+    Bucket& b = s.ring[i];
+    Event ev = bucket_pop<false>(b);
+    if (b.empty()) s.occupied[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    --s.ring_size;
+    return ev;
+  }
+
+  /// Runs a popped event with its canonical scheduling context.
+  static void run_event(Shard& s, Event& ev) {
     s.cur_id = event_identity(ev.h, ev.k);
     s.cur_k = 0;
     s.cur_raw_h = ev.h;
@@ -677,6 +730,26 @@ class Simulator {
     ev.fn();
     s.in_event = false;
   }
+
+  /// Pops the event `peek()` just located and runs it.
+  static void pop_and_run(Shard& s) {
+    Event ev = pop_peeked(s);
+    run_event(s, ev);
+  }
+
+#ifndef NDEBUG
+  /// Debug contract: every occupancy bit equals its bucket's non-emptiness.
+  /// Checked at the end of every run()/run_until(), when no shard is running.
+  void audit_occupancy() const {
+    for (const auto& s : shards_) {
+      for (std::uint64_t i = 0; i < kNumBuckets; ++i) {
+        const bool bit = ((s->occupied[i >> 6] >> (i & 63)) & 1) != 0;
+        UFAB_CHECK_MSG(bit == !s->ring[i].empty(),
+                       "calendar occupancy bit out of sync with its bucket");
+      }
+    }
+  }
+#endif
 
   /// The shard this thread's scheduling calls resolve to: the scoped/worker
   /// shard when one is set for *this* simulator, else shard 0 (setup code,
