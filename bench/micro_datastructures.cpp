@@ -124,6 +124,23 @@ void BM_EventQueueFarHorizon(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueFarHorizon);
 
+/// Sparse pattern at the soak harness's density: 64 events ~10 us apart,
+/// about 20 empty 512 ns buckets between consecutive events, so every lookup
+/// crosses idle simulated time (the occupancy bitmap's case).
+void BM_EventQueueSparse(benchmark::State& state) {
+  sim::Simulator sim;
+  std::int64_t t = 1;
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      sim.at(TimeNs{t + i * 10'000 + (i * 7919) % 1000}, [] {});
+    }
+    sim.run();
+    t += 64 * 10'000;
+  }
+  benchmark::DoNotOptimize(sim.events_processed());
+}
+BENCHMARK(BM_EventQueueSparse);
+
 /// Cross-shard handoff cost: one window's worth of mailbox posts, the single
 /// release-store flush, and the receiver's acquire-drain.
 void BM_ShardMailbox(benchmark::State& state) {

@@ -67,7 +67,7 @@ if [[ "${SMOKE}" == "1" ]]; then MIN_TIME=0.05; fi
 "${BUILD_DIR}/bench/micro_datastructures" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_out="${MICRO_JSON}" --benchmark_out_format=json \
-  --benchmark_filter='BM_(EventQueue|EventQueueBurst|EventQueueFarHorizon|ShardMailbox|MailboxBatch|EpochBarrier|AdaptiveEpoch|PacketMake|CoreAgentProbe|Fig17Slice|ProfScope|WfqNext|WfqNextSparse)'
+  --benchmark_filter='BM_(EventQueue|EventQueueBurst|EventQueueFarHorizon|EventQueueSparse|ShardMailbox|MailboxBatch|EpochBarrier|AdaptiveEpoch|PacketMake|CoreAgentProbe|Fig17Slice|ProfScope|WfqNext|WfqNextSparse)'
 
 # Runs BM_Fig17Slice once under the given UFAB_PROF level and prints its
 # real_time in milliseconds.  The guard always uses a 0.2 s min-time (even in

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Soak gate: build and run the long-horizon soak harness (bench/soak).
 #
-#   scripts/run_soak.sh              # full soak: 1 simulated hour (~1 min wall)
+#   scripts/run_soak.sh              # full soak: 1 simulated hour (~54 s wall
+#                                    # on a 4-vCPU Xeon VM)
 #   scripts/run_soak.sh --smoke      # CI smoke shape (~seconds), fixed seed
 #
 # The soak exits nonzero on any invariant violation or SLO breach, so this

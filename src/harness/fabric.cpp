@@ -308,8 +308,9 @@ void Fabric::top_up_tick(VmPairId pair, TimeNs stop, std::int64_t chunk_bytes) {
     send(pair, chunk_bytes);
     queued += chunk_bytes;
   }
-  // Re-check roughly every chunk drain time at line rate (cheap, coarse).
-  sim_.after(TimeNs{200'000},
+  // Re-check after one chunk's drain time at the NIC's line rate: at most one
+  // chunk can leave in that time, so the two-chunk refill never runs dry.
+  sim_.after(net_->host(src).nic().capacity().tx_time(chunk_bytes),
              [this, pair, stop, chunk_bytes] { top_up_tick(pair, stop, chunk_bytes); });
 }
 

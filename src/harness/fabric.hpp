@@ -115,8 +115,8 @@ class Fabric {
   /// Sends a message from a VM pair through the source host's stack.
   std::uint64_t send(VmPairId pair, std::int64_t bytes, std::uint64_t user_tag = 0);
 
-  /// Keeps `pair` saturated between [start, stop): tops the send queue up to
-  /// two chunks whenever it drains.
+  /// Keeps `pair` saturated between [start, stop): every chunk drain time at
+  /// the source NIC's line rate, tops the send queue up to two chunks.
   void keep_backlogged(VmPairId pair, TimeNs start, TimeNs stop,
                        std::int64_t chunk_bytes = 1'000'000);
 

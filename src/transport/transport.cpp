@@ -12,7 +12,8 @@ using sim::Packet;
 using sim::PacketKind;
 using sim::PacketPtr;
 
-/// How often the retransmission scanner wakes while packets are outstanding.
+/// The RTO sweep grid: sweeps land only on multiples of this, so a packet
+/// is resent at the first tick past its deadline (0-50 us late).
 constexpr TimeNs kRtxScanInterval{50'000};  // 50 us
 }  // namespace
 
@@ -57,6 +58,7 @@ Connection& TransportStack::connection(VmPairId pair, TenantId tenant) {
   conn->dst_host = vms_.host_of(pair.dst);
   UFAB_CHECK_MSG(conn->dst_host != host_, "VM pair endpoints on the same host");
   conn->base_rtt = net_.base_rtt(host_, conn->dst_host);
+  conn->rto = conn->base_rtt.scaled(opts_.rto_rtts);
   assign_candidate_paths(*conn);
   Connection& ref = *conn;
   conn->index = static_cast<std::uint32_t>(conn_order_.size());
@@ -193,7 +195,7 @@ PacketPtr TransportStack::make_data_packet(Connection& conn) {
     conn.sendq.pop_front();
     conn.cur_offset = 0;
   }
-  ensure_rtx_scan();
+  ensure_rtx_scan(sim_.now() + conn.rto);
   on_data_sent(conn, *pkt);
   return pkt;
 }
@@ -235,38 +237,51 @@ PacketPtr TransportStack::make_rtx_packet(Connection& conn) {
     ev.a = static_cast<double>(o.wire_bytes);
     obs_->record(ev);
   }
-  ensure_rtx_scan();
+  ensure_rtx_scan(sim_.now() + conn.rto);
   on_data_sent(conn, *pkt);
   return pkt;
 }
 
-void TransportStack::ensure_rtx_scan() {
-  if (rtx_scan_scheduled_) return;
-  rtx_scan_scheduled_ = true;
-  sim_.after(kRtxScanInterval, [this] {
-    rtx_scan_scheduled_ = false;
+void TransportStack::ensure_rtx_scan(TimeNs deadline) {
+  // The first grid tick strictly after the deadline: the earliest sweep at
+  // which `now - sent_at > rto` holds.
+  const TimeNs tick{(deadline.ns() / kRtxScanInterval.ns() + 1) * kRtxScanInterval.ns()};
+  if (tick >= rtx_scan_at_) return;
+  rtx_scan_at_ = tick;
+  const std::uint64_t gen = ++rtx_scan_gen_;
+  sim_.at(tick, [this, gen] {
+    if (gen != rtx_scan_gen_) return;
+    rtx_scan_at_ = TimeNs::max();
     scan_for_timeouts();
   });
 }
 
 void TransportStack::scan_for_timeouts() {
   const TimeNs now = sim_.now();
-  bool any_outstanding = false;
+  TimeNs next_deadline = TimeNs::max();
   bool gained_rtx = false;
   std::vector<Connection::Outstanding> expired;
   for (Connection* conn : conn_order_) {
-    const TimeNs rto = conn->base_rtt.scaled(opts_.rto_rtts);
     // `outstanding` is keyed by packet id, whose values depend on pool
     // layout; collect expired entries and order them by send history so the
     // retransmit order is a function of the traffic, not of hash iteration.
     expired.clear();
     for (auto it = conn->outstanding.begin(); it != conn->outstanding.end();) {
-      if (now - it->second.sent_at > rto) {
+      const TimeNs age = now - it->second.sent_at;
+#ifndef NDEBUG
+      // Every send arms a sweep at the first tick past its deadline, so no
+      // packet can be found more than one tick overdue.
+      UFAB_CHECK_MSG(age <= conn->rto + kRtxScanInterval,
+                     "RTO sweep found a packet overdue by more than one tick: a send path "
+                     "did not arm ensure_rtx_scan");
+#endif
+      if (age > conn->rto) {
         conn->inflight_bytes -= it->second.wire_bytes;
         expired.push_back(it->second);
         it = conn->outstanding.erase(it);
         gained_rtx = true;
       } else {
+        next_deadline = std::min(next_deadline, it->second.sent_at + conn->rto);
         ++it;
       }
     }
@@ -278,9 +293,10 @@ void TransportStack::scan_for_timeouts() {
               });
     for (auto& o : expired) conn->rtx_queue.push_back(std::move(o));
     if (!expired.empty()) arm(*conn);
-    if (!conn->outstanding.empty() || !conn->rtx_queue.empty()) any_outstanding = true;
   }
-  if (any_outstanding) ensure_rtx_scan();
+  // Survivors re-arm at the earliest deadline; requeued packets re-arm when
+  // make_rtx_packet resends them.
+  if (next_deadline != TimeNs::max()) ensure_rtx_scan(next_deadline);
   if (gained_rtx) kick();
 }
 

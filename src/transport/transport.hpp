@@ -66,6 +66,7 @@ struct Connection {
   HostId src_host;
   HostId dst_host;
   TimeNs base_rtt;
+  TimeNs rto;  ///< Retransmission timeout: base_rtt x rto_rtts.
 
   // --- send queue ---
   std::deque<Message> sendq;
@@ -246,7 +247,7 @@ class TransportStack : public sim::HostStack {
   void handle_data(sim::PacketPtr pkt);
   void handle_ack(sim::PacketPtr pkt);
   void scan_for_timeouts();
-  void ensure_rtx_scan();
+  void ensure_rtx_scan(TimeNs deadline);
 
   topo::Network& net_;
   const harness::VmMap& vms_;
@@ -276,7 +277,10 @@ class TransportStack : public sim::HostStack {
   std::uint64_t next_msg_id_ = 1;
   bool kick_pending_ = false;
   TimeNs pending_kick_at_ = TimeNs::max();
-  bool rtx_scan_scheduled_ = false;
+  /// Tick of the one pending RTO sweep (TimeNs::max() when none); a sweep
+  /// event whose generation is stale was superseded by an earlier one.
+  TimeNs rtx_scan_at_ = TimeNs::max();
+  std::uint64_t rtx_scan_gen_ = 0;
 };
 
 }  // namespace ufab::transport

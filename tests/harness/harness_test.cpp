@@ -2,7 +2,12 @@
 // and the resource model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "src/harness/experiment.hpp"
+#include "src/topo/builders.hpp"
+#include "src/transport/transport.hpp"
 #include "src/ufab/resource_model.hpp"
 
 namespace ufab::harness {
@@ -134,6 +139,40 @@ TEST(FabricTest, QueueSamplerCollects) {
   fab.sim().run_until(10_ms);
   EXPECT_GE(q.count(), 8u);  // ~10 samples x all links, idle => zeros
   EXPECT_DOUBLE_EQ(q.max(), 0.0);
+}
+
+/// Smallest unsent backlog of a keep_backlogged pair (default 1 MB chunks)
+/// on a dumbbell whose links all run at `bw`, sampled every `period` in
+/// (0, stop).  The base transport never withholds a packet, so the pair
+/// drains at line rate — the fastest the top-up must keep up with.
+std::int64_t min_backlog(Bandwidth bw, TimeNs period, TimeNs stop) {
+  topo::FabricOptions opts;
+  opts.host_bw = bw;
+  opts.fabric_bw = bw;
+  Fabric fab([opts](sim::Simulator& s) { return topo::make_dumbbell(s, 1, 1, opts); }, 5);
+  for (std::size_t h = 0; h < fab.net().host_count(); ++h) {
+    const HostId host{static_cast<std::int32_t>(h)};
+    fab.adopt_stack(host, std::make_unique<transport::TransportStack>(
+                              fab.net(), fab.vms(), host, transport::TransportOptions{},
+                              fab.rng().fork(h)));
+  }
+  const TenantId t = fab.vms().add_tenant("bulk", bw);
+  const VmPairId pair{fab.vms().add_vm(t, HostId{0}), fab.vms().add_vm(t, HostId{1})};
+  fab.keep_backlogged(pair, TimeNs::zero(), stop);
+  std::int64_t least = std::numeric_limits<std::int64_t>::max();
+  for (TimeNs at = period; at < stop; at += period) {
+    fab.sim().run_until(at);
+    const transport::Connection* conn = fab.stack_at(HostId{0}).find_connection(pair);
+    least = std::min(least, conn == nullptr ? 0 : conn->queued_bytes());
+  }
+  return least;
+}
+
+TEST(FabricTest, KeepBackloggedNeverRunsDry) {
+  // 1 MB drains in 320 ms at 25 Mbps but in 80 us at 100 Gbps, faster than
+  // any fixed re-check period tuned for slow NICs.
+  EXPECT_GT(min_backlog(Bandwidth::mbps(25), 1_ms, 2'000_ms), 0);
+  EXPECT_GT(min_backlog(Bandwidth::gbps(100), 2_us, 5_ms), 0);
 }
 
 }  // namespace

@@ -249,5 +249,80 @@ TEST(Transport, RttSamplesExcludeRetransmits) {
   EXPECT_LT(rtt.max(), 1000.0);
 }
 
+/// The link named `name`, or nullptr.
+sim::Link* find_link(Fabric& fab, const std::string& name) {
+  for (sim::Link* l : fab.net().links()) {
+    if (l->name() == name) return l;
+  }
+  return nullptr;
+}
+
+/// Loses every ACK of `pair` on the dumbbell's reverse trunk, so each copy of
+/// its data times out.
+void drop_acks_of(Fabric& fab, VmPairId pair) {
+  sim::Link* rev = find_link(fab, "ToR-R->ToR-L");
+  ASSERT_NE(rev, nullptr);
+  rev->set_fault_filter([pair](const sim::Packet& p) {
+    return p.kind == sim::PacketKind::kAck && p.pair == pair;
+  });
+}
+
+TEST(Transport, RetransmitFiresOnFirstTickAfterRto) {
+  // RTO sweeps land only on the absolute 50 us grid and only where a deadline
+  // needs one, so every resend of a never-acked packet happens at the first
+  // grid tick strictly past its RTO.
+  World w;
+  const VmPairId pair = w.make_pair();
+  drop_acks_of(w.fab, pair);
+  std::vector<std::int64_t> sent_at;  // per copy that reached the receiver
+  w.fab.stack_at(HostId{2}).add_rx_tap(
+      [&sent_at](const sim::Packet& p) { sent_at.push_back(p.sent_at.ns()); });
+  w.fab.sim().at(TimeNs{13'337}, [&w, pair] { w.fab.send(pair, 1'000); });
+  w.fab.sim().run_until(3_ms);
+
+  const Connection* conn = w.fab.stack_at(HostId{0}).find_connection(pair);
+  ASSERT_NE(conn, nullptr);
+  const std::int64_t rto = conn->rto.ns();
+  ASSERT_EQ(rto, conn->base_rtt.scaled(TransportOptions{}.rto_rtts).ns());
+  ASSERT_GE(sent_at.size(), 3u);
+  EXPECT_EQ(sent_at[0], 13'337);
+  for (std::size_t i = 1; i < sent_at.size(); ++i) {
+    const std::int64_t wait = sent_at[i] - sent_at[i - 1];
+    EXPECT_EQ(sent_at[i] % 50'000, 0) << "copy " << i << " at " << sent_at[i];
+    EXPECT_GT(wait, rto) << "copy " << i;
+    EXPECT_LE(wait, rto + 50'000) << "copy " << i;
+  }
+}
+
+TEST(Transport, IdleRtoWaitSchedulesNoPolling) {
+  // One packet whose ACK is lost, then silence: waiting out a long RTO costs
+  // a pending sweep or two, not a wake-up every 50 us.
+  Fabric fab([](sim::Simulator& s) { return topo::make_dumbbell(s, 1, 1); }, 9);
+  TransportOptions opts;
+  opts.rto_rtts = 2'000.0;
+  for (std::size_t h = 0; h < fab.net().host_count(); ++h) {
+    const HostId host{static_cast<std::int32_t>(h)};
+    fab.adopt_stack(host, std::make_unique<WindowStack>(fab.net(), fab.vms(), host, opts,
+                                                        fab.rng().fork(h)));
+  }
+  const TenantId t = fab.vms().add_tenant("idle", 1_Gbps);
+  const VmPairId pair{fab.vms().add_vm(t, HostId{0}), fab.vms().add_vm(t, HostId{1})};
+  drop_acks_of(fab, pair);
+  fab.send(pair, 1'000);
+  const Connection* conn = fab.stack_at(HostId{0}).find_connection(pair);
+  ASSERT_NE(conn, nullptr);
+  const TimeNs rto = conn->rto;
+  ASSERT_GT(rto.ns() / 50'000, 100) << "the wait must span many sweep ticks";
+
+  fab.sim().run_until(1_ms);  // the packet is delivered and its ACK lost
+  const std::uint64_t before = fab.sim().events_processed();
+  fab.sim().run_until(rto);  // sent at 0: still one tick short of expiry
+  EXPECT_LE(fab.sim().events_processed() - before, 2u)
+      << "a free-running sweep would have fired " << (rto.ns() - 1'000'000) / 50'000 << " times";
+  EXPECT_EQ(fab.stack_at(HostId{0}).retransmits(), 0);
+  fab.sim().run_until(rto + 50_us);
+  EXPECT_EQ(fab.stack_at(HostId{0}).retransmits(), 1);
+}
+
 }  // namespace
 }  // namespace ufab::transport
