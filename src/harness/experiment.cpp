@@ -29,35 +29,7 @@ Experiment::Experiment(Scheme scheme, const TopoFn& topo_fn, topo::FabricOptions
   const topo::FabricOptions opts = fabric_options_for(scheme, base_opts, scheme_opts);
   fab_ = std::make_unique<Fabric>(
       [&](sim::Simulator& s) { return topo_fn(s, opts); }, seed);
-  // UFAB_SHARDS splits the engine into shards before any scheme or workload
-  // events exist (the schedule is the same for every shard count);
-  // UFAB_SHARD_EXEC=seq|threads pins the execution strategy (equivalence
-  // testing), default auto.
-  if (const char* v = std::getenv("UFAB_SHARDS"); v != nullptr && v[0] != '\0') {
-    sim::ShardExec exec = sim::ShardExec::kAuto;
-    if (const char* e = std::getenv("UFAB_SHARD_EXEC"); e != nullptr) {
-      if (e[0] == 's') {
-        exec = sim::ShardExec::kSequential;
-      } else if (e[0] == 't') {
-        exec = sim::ShardExec::kThreads;
-      }
-    }
-    fab_->configure_sharding(std::max(1, std::atoi(v)), exec);
-  }
-  // UFAB_EPOCH_WINDOWS=<n> sets how many lookahead windows each epoch
-  // amortizes over one coordinator barrier (default 16).  Schedule-neutral:
-  // results are byte-identical for every width (DESIGN.md §12).
-  if (const char* v = std::getenv("UFAB_EPOCH_WINDOWS"); v != nullptr && v[0] != '\0') {
-    fab_->sim().set_epoch_windows(std::max(1, std::atoi(v)));
-  }
-  // UFAB_PROF attaches the engine self-profiling plane (level 1 = loop
-  // attribution, 2 = + per-call scopes).  Passive: the schedule and every
-  // simulation result are unchanged (tests/obs/profiler_test.cpp).
-  if (const int prof_level = obs::Profiler::env_level(); prof_level > 0) {
-    obs::ProfOptions popts;
-    popts.level = prof_level;
-    fab_->sim().enable_profiling(popts);
-  }
+  configure_engine_from_env(*fab_);
   install_scheme(*fab_, scheme, scheme_opts_);
   fab_->install_pair_metering(1_ms);
   fab_->install_tenant_metering(1_ms);
@@ -234,6 +206,30 @@ obs::ObsOptions obs_options_from_env() {
     opts.record_datapath = false;
   }
   return opts;
+}
+
+void configure_engine_from_env(Fabric& fab, int shards) {
+  if (shards == 0) {
+    if (const char* v = std::getenv("UFAB_SHARDS"); v != nullptr && v[0] != '\0') {
+      shards = std::max(1, std::atoi(v));
+    }
+  }
+  if (shards > 0) {
+    sim::ShardExec exec = sim::ShardExec::kAuto;
+    if (const char* e = std::getenv("UFAB_SHARD_EXEC"); e != nullptr) {
+      if (e[0] == 's') {
+        exec = sim::ShardExec::kSequential;
+      } else if (e[0] == 't') {
+        exec = sim::ShardExec::kThreads;
+      }
+    }
+    fab.configure_sharding(shards, exec);
+  }
+  if (const int prof_level = obs::Profiler::env_level(); prof_level > 0) {
+    obs::ProfOptions popts;
+    popts.level = prof_level;
+    fab.sim().enable_profiling(popts);
+  }
 }
 
 void print_header(const std::string& title) {

@@ -86,6 +86,16 @@ void write_bench_artifacts(Fabric& fab, const std::string& bench,
 /// is passive, so bench stdout is identical either way.
 [[nodiscard]] obs::ObsOptions obs_options_from_env();
 
+/// Engine settings from the environment, applied before any scheme or
+/// workload event exists.  UFAB_SHARDS=<n> splits the engine into n shards
+/// (the schedule is the same for every shard count) unless `shards` > 0
+/// sets the count explicitly; UFAB_SHARD_EXEC=seq|threads pins the
+/// execution strategy (default auto).  UFAB_PROF=<level> attaches the
+/// engine self-profiling plane (1 = loop attribution, 2 = + per-call
+/// scopes); it is passive, so the schedule and every simulation result are
+/// unchanged (tests/obs/profiler_test.cpp).
+void configure_engine_from_env(Fabric& fab, int shards = 0);
+
 // --- printing helpers shared by benches ---
 void print_header(const std::string& title);
 void print_rate_series(Fabric& fab, const std::vector<std::pair<std::string, VmPairId>>& pairs,

@@ -17,10 +17,10 @@
 //     state.  An enabled run produces byte-identical simulation output to a
 //     disabled run (tests/obs/profiler_test.cpp proves it, mirroring the
 //     PR 2 obs guarantee).
-//  2. Branch-gated, always compiled.  There is no build flag; a disabled
-//     simulator pays one `prof_ != nullptr` test per run loop *entry* (the
-//     unprofiled hot loops are untouched), and a disabled ProfScope is a
-//     null-pointer compare.
+//  2. Branch-gated, always compiled.  There is no build flag.  The engine
+//     has one run loop and the profiler rides it as a nullable slice: a
+//     disabled simulator pays one predictable null-slice test per event,
+//     and a disabled ProfScope is a null-pointer compare.
 //  3. Zero atomics on the hot path.  Each shard accumulates into its own
 //     cache-line-aligned ProfSlice; the coordinator reads them only while
 //     workers are parked at the epoch barrier (the same ownership discipline
@@ -37,7 +37,7 @@
 // using a process-wide calibration performed on first use.
 //
 // Levels (UFAB_PROF):
-//   0  disabled (default) — engine hot paths identical to pre-profiler code.
+//   0  disabled (default) — the run loop skips the attribution step.
 //   1  loop-level attribution: dispatch/queue/barrier/inject scopes (strided
 //      timing, exact counts), queue occupancy sampling, epoch accounting.
 //      Budgeted at <= 5% on BM_Fig17Slice (CI-guarded via

@@ -157,12 +157,7 @@ void Link::advance() const {
   while (mat_ < pipe_.size()) {
     const PipeEntry& e = pipe_[mat_];
     if (!sim_.key_fired(home_, e.ser_end, e.h, e.k)) break;
-    tx_bytes_cum_ += e.bytes;
-    checkpoints_.push_back({e.ser_end, tx_bytes_cum_});
-    while (checkpoints_.size() > 2 &&
-           e.ser_end - checkpoints_.front().first > kMaxRateWindow) {
-      checkpoints_.pop_front();
-    }
+    note_departure(e.ser_end, e.bytes);
     if (mat_ + 1 < pipe_.size()) {
       PipeEntry& next = pipe_[mat_ + 1];
       if (next.in_queue) {
@@ -179,6 +174,14 @@ void Link::advance() const {
       pipe_.pop_front();
       --mat_;
     }
+  }
+}
+
+void Link::note_departure(TimeNs at, std::int32_t bytes) const {
+  tx_bytes_cum_ += bytes;
+  checkpoints_.push_back({at, tx_bytes_cum_});
+  while (checkpoints_.size() > 2 && at - checkpoints_.front().first > kMaxRateWindow) {
+    checkpoints_.pop_front();
   }
 }
 
@@ -297,19 +300,14 @@ void Link::start_next() {
   // below to overwrite — and silently destroy — it.
   busy_ = true;
   PacketPtr pkt;
-  if (!queue_.empty()) {
+  if (queue_.empty() && source_) pkt = source_();
+  // Queued packets go first; when the pull came back empty, a re-entrant
+  // enqueue during it may have queued one — serialize it now rather than
+  // leaving it stranded until the next kick.
+  if (!pkt && !queue_.empty()) {
     pkt = std::move(queue_.front());
     queue_.pop_front();
     queue_bytes_ -= pkt->size_bytes;
-  } else if (source_) {
-    pkt = source_();
-    if (!pkt && !queue_.empty()) {
-      // A re-entrant enqueue during the pull queued a packet; serialize it
-      // now rather than leaving it stranded until the next kick.
-      pkt = std::move(queue_.front());
-      queue_.pop_front();
-      queue_bytes_ -= pkt->size_bytes;
-    }
   }
   if (!pkt) {
     busy_ = false;
@@ -325,12 +323,7 @@ void Link::finish_transmit(std::int32_t bytes, std::uint64_t epoch) {
   if (epoch != epoch_) return;  // serialization aborted by set_down
   busy_ = false;
   if (in_flight_) {
-    tx_bytes_cum_ += bytes;
-    checkpoints_.push_back({sim_.now(), tx_bytes_cum_});
-    while (checkpoints_.size() > 2 &&
-           sim_.now() - checkpoints_.front().first > kMaxRateWindow) {
-      checkpoints_.pop_front();
-    }
+    note_departure(sim_.now(), bytes);
     PacketPtr pkt = std::move(in_flight_);
     if (fault_filter_ && fault_filter_(*pkt)) {
       // Lost on the wire (fault injection): link time was consumed but the
@@ -372,8 +365,7 @@ Bandwidth Link::tx_rate(TimeNs window) const {
   }
   if (!found) {
     base_time = checkpoints_.front().first;
-    base_bytes = checkpoints_.front().second - 0;
-    // Use the oldest checkpoint; subtract its own packet to avoid inflating.
+    base_bytes = checkpoints_.front().second;
   }
   const TimeNs span = now - base_time;
   if (span.ns() <= 0) return Bandwidth::zero();

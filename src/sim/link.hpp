@@ -115,7 +115,6 @@ class Link {
     leave_pipeline();
     pinned_legacy_ = true;
   }
-  [[nodiscard]] bool pinned_legacy() const { return pinned_legacy_; }
 
   // --- telemetry / observability ---
   [[nodiscard]] LinkId id() const { return id_; }
@@ -207,6 +206,9 @@ class Link {
   void leave_pipeline();
   void check_pipe_order() const;  ///< Debug-only FIFO invariant sweep.
 
+  /// Cumulative TX bytes plus a rate checkpoint (trimmed to the rate window)
+  /// for a packet leaving the serializer at `at`; both serializers use it.
+  void note_departure(TimeNs at, std::int32_t bytes) const;
   void start_next();
   void finish_transmit(std::int32_t bytes, std::uint64_t epoch);
   void record_drop(const Packet& pkt, obs::DropReason reason);

@@ -1,15 +1,15 @@
-// Sharded (conservative parallel DES) execution for Simulator.
+// Execution for Simulator: the one run loop (shard_pass) and the sharded
+// (conservative parallel DES) epoch loop.  Serial runs, epoch windows,
+// solo rounds and final inclusive rounds all pop events through shard_pass.
+// The safety invariant is the same at every granularity: a crossing posted
+// at wire-exit time tau arrives at tau + prop >= tau + lookahead, which is
+// at or past the boundary of the lookahead window that produced it, so a
+// shard processing events strictly before a boundary can never miss a
+// remote event (DESIGN.md §9).
 //
-// The serial hot paths live inline in simulator.hpp; everything here runs
-// once per window or epoch, not once per event.  The safety invariant is the
-// same at every granularity: a crossing posted at wire-exit time tau arrives
-// at tau + prop >= tau + lookahead, which is at or past the boundary of the
-// lookahead window that produced it, so a shard processing events strictly
-// before a boundary can never miss a remote event (DESIGN.md §9).
+// What §12 changed is how boundaries are *paid for*:
 //
-// What changed for §12 is how boundaries are *paid for*:
-//
-//  * A pass now spans many windows per coordinator barrier
+//  * A pass spans many windows per coordinator barrier
 //    (run_pass_windowed).  Inside the pass each shard walks the common
 //    boundary ladder b_1 < b_2 < ... on its own: run events < b_w, flush the
 //    outgoing mailboxes (one release-store per non-empty channel), publish
@@ -18,7 +18,7 @@
 //    publishing, acquiring its clock at b_w also acquires every crossing it
 //    posted before b_w — and any such crossing delivers at or after b_w, so
 //    draining at b_w is always early enough.  One condvar barrier (~µs) per
-//    UFAB_EPOCH_WINDOWS windows instead of one per window.
+//    set_epoch_windows() windows (16) instead of one per window.
 //
 //  * When exactly one shard has pending events the coordinator skips the
 //    barrier machinery entirely (solo_run): it executes that shard inline
@@ -28,7 +28,7 @@
 //    woke a peer — before the woken shard executes anything, so nothing is
 //    ever missed.
 //
-//  * The final inclusive stretch of run_until uses single-boundary
+//  * The final inclusive stretch before a horizon uses single-boundary
 //    coordinator rounds (run_pass(t, true) + inject_crossings loops): at the
 //    horizon the window ladder degenerates (events at exactly t can emit
 //    crossings at exactly t), and those rounds carry the termination
@@ -38,9 +38,9 @@
 // PacketPtr into the destination calendar with its origin pool unchanged,
 // and a release on a foreign shard routes the storage home through a
 // per-(freer, owner) return mailbox (PacketPool's foreign guard, armed only
-// for threaded execution).  Every injection path inserts through the bulk
-// calendar path (push_deferred + end_bulk) so a drain batch costs one heap
-// fixup per touched bucket instead of one sift per crossing.
+// for threaded execution).  absorb inserts through the bulk calendar path
+// (push_deferred + end_bulk) so a drain batch costs one heap fixup per
+// touched bucket instead of one sift per crossing.
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
@@ -191,54 +191,56 @@ void Simulator::worker_main(int shard_index) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_index)];
   tls_ = ShardScope::Active{this, &s};
   ufab::tls_shard_index = shard_index;
+  obs::ProfSlice* const sl = prof_slice(shard_index);
   std::uint64_t gen = 0;
   if (!barrier_->wait_for_pass(gen)) return;
   while (true) {
-    if (pass_windows_ > 0) {
-      windowed_shard_pass(s);
-    } else {
-      shard_pass(s, pass_boundary_, pass_inclusive_);
-    }
+    pass_side(s);
     const std::int64_t parked_at = steady_ns();
-    const std::int64_t parked_ticks = prof_ != nullptr ? obs::ProfClock::now() : 0;
+    const obs::ProfScope wait(sl, obs::ProfCat::kBarrierWait);
     barrier_->arrive_done();
     if (!barrier_->wait_for_pass(gen)) return;
     // Written between passes is safe: the coordinator only reads this while
     // workers are parked, ordered through the barrier's mutex.
     s.barrier_wait_ns += steady_ns() - parked_at;
-    if (prof_ != nullptr) {
-      prof_->slice(shard_index)
-          .add(obs::ProfCat::kBarrierWait, obs::ProfClock::now() - parked_ticks);
-    }
   }
 }
 
-/// Runs one synchronized single-boundary pass on every shard.
-/// Threaded mode: workers run their own shard while the coordinator (already
-/// scoped to shard 0 by the caller) runs shard 0.  Sequential mode: the
-/// coordinator runs each shard's pass in index order — byte-identical
-/// schedule, no concurrency.
-void Simulator::run_pass(TimeNs boundary, bool inclusive) {
-  if (exec_threads_) {
-    pass_boundary_ = boundary;
-    pass_inclusive_ = inclusive;
-    pass_windows_ = 0;
-    barrier_->release(++pass_gen_);
-    shard_pass(*shards_.front(), boundary, inclusive);
-    if (prof_ != nullptr) {
-      // The coordinator's stall is the tail it spends waiting for the
-      // slowest worker — the direct read on "does sharding pay".
-      const std::int64_t t0 = obs::ProfClock::now();
-      barrier_->wait_all_done();
-      prof_->slice(0).add(obs::ProfCat::kBarrierWait, obs::ProfClock::now() - t0);
-    } else {
-      barrier_->wait_all_done();
-    }
+/// One shard's side of the current pass: a worker thread's, or the
+/// coordinator's for shard 0.
+void Simulator::pass_side(Shard& s) {
+  if (pass_windows_ > 0) {
+    windowed_shard_pass(s);
   } else {
-    for (auto& s : shards_) {
-      const ShardScope scope = scoped(s->index);
-      shard_pass(*s, boundary, inclusive);
-    }
+    shard_pass(s, pass_boundary_, pass_inclusive_);
+  }
+}
+
+/// Threaded pass: releases the workers, runs shard 0's side on the
+/// coordinator (already scoped to shard 0 by the caller), then waits for
+/// every worker.  The coordinator's stall is the tail it spends waiting for
+/// the slowest worker — the direct read on "does sharding pay".
+void Simulator::threaded_pass() {
+  barrier_->release(++pass_gen_);
+  pass_side(*shards_.front());
+  const obs::ProfScope wait(prof_slice(0), obs::ProfCat::kBarrierWait);
+  barrier_->wait_all_done();
+}
+
+/// Runs one synchronized single-boundary pass on every shard.  Sequential
+/// mode: the coordinator runs each shard's pass in index order —
+/// byte-identical schedule, no concurrency.
+void Simulator::run_pass(TimeNs boundary, bool inclusive) {
+  pass_boundary_ = boundary;
+  pass_inclusive_ = inclusive;
+  pass_windows_ = 0;
+  if (exec_threads_) {
+    threaded_pass();
+    return;
+  }
+  for (auto& s : shards_) {
+    const ShardScope scope = scoped(s->index);
+    shard_pass(*s, boundary, inclusive);
   }
 }
 
@@ -252,31 +254,17 @@ void Simulator::run_pass_windowed(TimeNs base, int windows) {
   pass_base_ = base;
   pass_windows_ = windows;
   if (exec_threads_) {
-    barrier_->release(++pass_gen_);
-    windowed_shard_pass(*shards_.front());
-    if (prof_ != nullptr) {
-      const std::int64_t t0 = obs::ProfClock::now();
-      barrier_->wait_all_done();
-      prof_->slice(0).add(obs::ProfCat::kBarrierWait, obs::ProfClock::now() - t0);
-    } else {
-      barrier_->wait_all_done();
-    }
+    threaded_pass();
   } else {
     TimeNs b = base;
     for (int w = 0; w < windows; ++w) {
       b = b + lookahead_;
       for (auto& s : shards_) {
         const ShardScope scope = scoped(s->index);
-        shard_pass(*s, b, false);
-        if (b > s->now) s->now = b;
-        s->now_inclusive = false;  // events at exactly b run in the next window
-        flush_outgoing(s->index);
+        run_window(*s, b);
       }
-      const std::int64_t t0 = prof_ != nullptr ? obs::ProfClock::now() : 0;
+      const obs::ProfScope inject(prof_slice(0), obs::ProfCat::kMailboxInject);
       for (auto& s : shards_) drain_incoming(*s);
-      if (prof_ != nullptr) {
-        prof_->slice(0).add(obs::ProfCat::kMailboxInject, obs::ProfClock::now() - t0);
-      }
     }
   }
   pass_windows_ = 0;
@@ -289,41 +277,54 @@ void Simulator::run_pass_windowed(TimeNs base, int windows) {
 /// mailboxes' single release-store is designed around.
 void Simulator::windowed_shard_pass(Shard& s) {
   const int n = shard_count();
-  obs::ProfSlice* const sl = prof_ != nullptr ? &prof_->slice(s.index) : nullptr;
+  obs::ProfSlice* const sl = prof_slice(s.index);
   TimeNs b = pass_base_;
   for (int w = 0; w < pass_windows_; ++w) {
     b = b + lookahead_;
-    shard_pass(s, b, false);
-    if (b > s.now) s.now = b;
-    s.now_inclusive = false;  // events at exactly b run in the next window
-    flush_outgoing(s.index);
+    run_window(s, b);
     clocks_[static_cast<std::size_t>(s.index)]->publish(b.ns());
-    const std::int64_t t0 = sl != nullptr ? obs::ProfClock::now() : 0;
-    for (int p = 0; p < n; ++p) {
-      if (p != s.index) (void)clocks_[static_cast<std::size_t>(p)]->await(b.ns());
+    {
+      const obs::ProfScope wait(sl, obs::ProfCat::kBarrierWait);
+      for (int p = 0; p < n; ++p) {
+        if (p != s.index) (void)clocks_[static_cast<std::size_t>(p)]->await(b.ns());
+      }
     }
-    if (sl != nullptr) {
-      const std::int64_t t1 = obs::ProfClock::now();
-      sl->add(obs::ProfCat::kBarrierWait, t1 - t0);
-      drain_incoming(s);
-      sl->add(obs::ProfCat::kMailboxInject, obs::ProfClock::now() - t1);
-    } else {
-      drain_incoming(s);
-    }
+    const obs::ProfScope inject(sl, obs::ProfCat::kMailboxInject);
+    drain_incoming(s);
   }
 }
 
-void Simulator::shard_pass(Shard& s, TimeNs boundary, bool inclusive) {
-  if (prof_ != nullptr) {
-    shard_pass_profiled(s, boundary, inclusive);
-    return;
-  }
+/// One window step: runs `s` strictly below `boundary`, parks its clock
+/// there (events at exactly `boundary` run in the next window) and
+/// publishes its outgoing mailboxes.
+void Simulator::run_window(Shard& s, TimeNs boundary) {
+  shard_pass(s, boundary, false);
+  if (boundary > s.now) s.now = boundary;
+  s.now_inclusive = false;
+  flush_outgoing(s.index);
+}
+
+/// The one run loop: pops and runs `s`'s events before `boundary` (at or
+/// before it when `inclusive`).  A profiling slice sends every event through
+/// the attribution step and points level-2 scopes at it for the pass.
+/// Flattened so peek and the heap pops inline into the loop.
+[[gnu::flatten]] void Simulator::shard_pass(Shard& s, TimeNs boundary, bool inclusive) {
+  // Exclusive boundaries are window ends (>= lookahead > 0), so "at >=
+  // boundary" is "at > boundary - 1": one comparison per event either way.
+  const TimeNs last = inclusive ? boundary : boundary - TimeNs{1};
+  obs::ProfSlice* const sl = prof_slice(s.index);
+  obs::ProfSlice* const prev_tls = obs::tls_prof_slice;
+  if (sl != nullptr && prof_->detailed()) obs::tls_prof_slice = sl;
   while (true) {
     const Event* ev = peek(s);
-    if (ev == nullptr) break;
-    if (inclusive ? ev->at > boundary : ev->at >= boundary) break;
-    pop_and_run(s);
+    if (ev == nullptr || ev->at > last) break;
+    if (sl != nullptr) {
+      pop_and_run_profiled(s, *sl);
+    } else {
+      pop_and_run(s);
+    }
   }
+  obs::tls_prof_slice = prev_tls;
 }
 
 void Simulator::flush_outgoing(int src) {
@@ -335,19 +336,29 @@ void Simulator::flush_outgoing(int src) {
   }
 }
 
-/// Absorbs everything published to this shard: crossings bulk-insert into
-/// the calendar (ownership handoff — the packet travels, its pool does not),
-/// returned storage goes home via put_direct (we ARE the owner here, so the
-/// foreign guard must not re-route it).
+/// Absorbs what `src` published to `dst`: crossings go into `dst`'s calendar
+/// through the bulk path (ownership handoff — the packet travels, its pool
+/// does not; the caller runs end_bulk), and storage `src` freed on behalf of
+/// `dst`'s pool goes home via put_direct (the caller acts as the owner here,
+/// so the foreign guard must not re-route it).  Returns the earliest
+/// injected arrival, TimeNs::max() when nothing crossed.
+TimeNs Simulator::absorb(int src, int dst) {
+  Shard& d = *shards_[static_cast<std::size_t>(dst)];
+  TimeNs earliest = TimeNs::max();
+  cross_ch(src, dst).drain([&d, &earliest](Crossing&& c) {
+    UFAB_CHECK_MSG(c.at >= d.now, "cross-shard crossing violates the lookahead bound");
+    earliest = std::min(earliest, c.at);
+    push_deferred(d, c.at, c.h, c.k, UniqueFunction(DeliverEvent{c.dst, std::move(c.pkt)}));
+  });
+  ret_ch(src, dst).drain([](Packet*&& p) { p->origin_pool->put_direct(p); });
+  return earliest;
+}
+
+/// Absorbs everything published to this shard.
 void Simulator::drain_incoming(Shard& s) {
   const int n = shard_count();
   for (int src = 0; src < n; ++src) {
-    if (src == s.index) continue;
-    cross_ch(src, s.index).drain([&s](Crossing&& c) {
-      UFAB_CHECK_MSG(c.at >= s.now, "cross-shard crossing violates the lookahead bound");
-      push_deferred(s, c.at, c.h, c.k, UniqueFunction(DeliverEvent{c.dst, std::move(c.pkt)}));
-    });
-    ret_ch(src, s.index).drain([](Packet*&& p) { p->origin_pool->put_direct(p); });
+    if (src != s.index) absorb(src, s.index);
   }
   end_bulk(s);
 }
@@ -388,33 +399,25 @@ void Simulator::pop_and_run_profiled(Shard& s, obs::ProfSlice& sl) {
   }
 }
 
-void Simulator::shard_pass_profiled(Shard& s, TimeNs boundary, bool inclusive) {
-  obs::Profiler& p = *prof_;
-  obs::ProfSlice& sl = p.slice(s.index);
-  obs::ProfSlice* const prev_tls = obs::tls_prof_slice;
-  if (p.detailed()) obs::tls_prof_slice = &sl;
-  while (true) {
-    const Event* ev = peek(s);
-    if (ev == nullptr) break;
-    if (inclusive ? ev->at > boundary : ev->at >= boundary) break;
-    pop_and_run_profiled(s, sl);
+/// The one entry point of run() and run_until().  A finite `t` parks every
+/// clock at `t` with events at exactly `t` run; `t == TimeNs::max()` drains
+/// and parks no clock at the horizon.
+void Simulator::run_to(TimeNs t) {
+  const std::int64_t wall_t0 = prof_ != nullptr ? obs::ProfClock::now() : 0;
+  if (shards_.size() == 1) {
+    Shard& s = *shards_.front();
+    shard_pass(s, t, true);
+    if (t != TimeNs::max()) {
+      if (t > s.now) s.now = t;
+      s.now_inclusive = true;  // everything at or before t has run
+    }
+  } else {
+    run_until_sharded(t);
   }
-  obs::tls_prof_slice = prev_tls;
-}
-
-void Simulator::run_serial_profiled(Shard& s, TimeNs bound) {
-  obs::Profiler& p = *prof_;
-  obs::ProfSlice& sl = p.slice(s.index);
-  obs::ProfSlice* const prev_tls = obs::tls_prof_slice;
-  if (p.detailed()) obs::tls_prof_slice = &sl;
-  const std::int64_t loop_start = obs::ProfClock::now();
-  while (true) {
-    const Event* ev = peek(s);
-    if (ev == nullptr || ev->at > bound) break;
-    pop_and_run_profiled(s, sl);
-  }
-  p.add_run_wall(obs::ProfClock::now() - loop_start);
-  obs::tls_prof_slice = prev_tls;
+  if (prof_ != nullptr) prof_->add_run_wall(obs::ProfClock::now() - wall_t0);
+#ifndef NDEBUG
+  audit_occupancy();
+#endif
 }
 
 TimeNs Simulator::earliest_pending() {
@@ -426,7 +429,10 @@ TimeNs Simulator::earliest_pending() {
   return earliest;
 }
 
+/// Parks every clock at `t` (never backwards).  A drain's horizon
+/// (TimeNs::max()) parks nothing.
 void Simulator::set_clocks(TimeNs t, bool inclusive) {
+  if (t == TimeNs::max()) return;
   for (auto& s : shards_) {
     if (t >= s->now) {
       s->now = t;
@@ -503,29 +509,17 @@ bool Simulator::solo_run(int x, TimeNs limit) {
     if (ev->at >= limit) break;
     const TimeNs boundary = ev->at + out_la;
     if (boundary >= limit) break;  // final stretch: the epoch loop owns it
-    shard_pass(s, boundary, false);
-    if (boundary > s.now) s.now = boundary;
-    s.now_inclusive = false;
+    run_window(s, boundary);
     if (prof_ != nullptr) prof_->note_barrier_skip();
     progressed = true;
-    flush_outgoing(x);
     bool woke = false;
-    const std::int64_t t0 = prof_ != nullptr ? obs::ProfClock::now() : 0;
-    for (int dst = 0; dst < n; ++dst) {
-      if (dst == x) continue;
-      Shard& d = *shards_[static_cast<std::size_t>(dst)];
-      cross_ch(x, dst).drain([&d, &woke](Crossing&& c) {
-        UFAB_CHECK_MSG(c.at >= d.now, "cross-shard crossing violates the lookahead bound");
-        push_deferred(d, c.at, c.h, c.k, UniqueFunction(DeliverEvent{c.dst, std::move(c.pkt)}));
-        woke = true;
-      });
-      end_bulk(d);
-      // Storage this shard freed on behalf of `dst`'s pool goes home now
-      // (put_direct: the guard would bounce a foreign put right back here).
-      ret_ch(x, dst).drain([](Packet*&& p) { p->origin_pool->put_direct(p); });
-    }
-    if (prof_ != nullptr) {
-      prof_->slice(0).add(obs::ProfCat::kMailboxInject, obs::ProfClock::now() - t0);
+    {
+      const obs::ProfScope inject(prof_slice(0), obs::ProfCat::kMailboxInject);
+      for (int dst = 0; dst < n; ++dst) {
+        if (dst == x) continue;
+        if (absorb(x, dst) != TimeNs::max()) woke = true;
+        end_bulk(*shards_[static_cast<std::size_t>(dst)]);
+      }
     }
     if (woke) break;
   }
@@ -533,45 +527,33 @@ bool Simulator::solo_run(int x, TimeNs limit) {
   return progressed;
 }
 
-/// Coordinator-only injection round (workers parked): flushes and
-/// drains every mailbox, bulk-inserting crossings and returning freed
-/// storage.  Returns whether any injected crossing fires at or before
-/// `le_mark` — the run_until final-epoch loop uses this to know it must run
-/// another inclusive pass.
+/// Coordinator-only injection round (workers parked): flushes and absorbs
+/// every mailbox.  Returns whether any injected crossing fires at or before
+/// `le_mark` — the final-epoch loop uses this to know it must run another
+/// inclusive pass.
 bool Simulator::inject_crossings(TimeNs le_mark) {
-  const std::int64_t inject_t0 = prof_ != nullptr ? obs::ProfClock::now() : 0;
-  bool any_le = false;
+  const obs::ProfScope inject(prof_slice(0), obs::ProfCat::kMailboxInject);
+  TimeNs earliest = TimeNs::max();
   const int n = shard_count();
   for (int src = 0; src < n; ++src) {
+    // The coordinator acts as writer here (flush) — safe because every
+    // worker is parked at the barrier, which orders their posts before
+    // this read-modify of the writer cursor.
+    flush_outgoing(src);
     for (int dst = 0; dst < n; ++dst) {
-      if (src == dst) continue;
-      // The coordinator acts as writer here (flush) — safe because every
-      // worker is parked at the barrier, which orders their posts before
-      // this read-modify of the writer cursor.
-      ShardMailbox<Crossing>& ch = cross_ch(src, dst);
-      ch.flush();
-      Shard& d = *shards_[static_cast<std::size_t>(dst)];
-      ch.drain([&](Crossing&& c) {
-        UFAB_CHECK_MSG(c.at >= d.now, "cross-shard crossing violates the lookahead bound");
-        if (c.at <= le_mark) any_le = true;
-        push_deferred(d, c.at, c.h, c.k, UniqueFunction(DeliverEvent{c.dst, std::move(c.pkt)}));
-      });
-      ShardMailbox<Packet*>& rch = ret_ch(src, dst);
-      rch.flush();
-      rch.drain([](Packet*&& p) { p->origin_pool->put_direct(p); });
+      if (src != dst) earliest = std::min(earliest, absorb(src, dst));
     }
   }
   for (auto& s : shards_) end_bulk(*s);
-  if (prof_ != nullptr) {
-    prof_->slice(0).add(obs::ProfCat::kMailboxInject, obs::ProfClock::now() - inject_t0);
-  }
-  return any_le;
+  // TimeNs::max() means nothing crossed, even when le_mark is a drain's.
+  return earliest != TimeNs::max() && earliest <= le_mark;
 }
 
+/// The one epoch loop: runs every event at or before `t` across all
+/// shards.  `t == TimeNs::max()` drains.
 void Simulator::run_until_sharded(TimeNs t) {
   ensure_exec_started();
   const ShardScope scope = scoped(0);
-  const std::int64_t wall_t0 = prof_ != nullptr ? obs::ProfClock::now() : 0;
   while (true) {
     // Between passes every mailbox is drained; clocks may be staggered after
     // a solo round but never exceed the earliest pending event.
@@ -579,8 +561,9 @@ void Simulator::run_until_sharded(TimeNs t) {
     if (clock >= t) break;
     reset_channels();
     const TimeNs earliest = earliest_pending();
-    if (earliest > t) {
-      // Nothing left at or before the horizon (events at exactly t included).
+    if (earliest == TimeNs::max() || earliest > t) {
+      // Nothing left at or before the horizon (events at exactly t
+      // included); TimeNs::max() is nothing left at all, a drain's end.
       set_clocks(t, true);
       break;
     }
@@ -592,8 +575,9 @@ void Simulator::run_until_sharded(TimeNs t) {
       // produced at tau in (t - lookahead, t] can arrive exactly at t and
       // the serial engine would fire it, so keep passing until no injected
       // crossing lands at or before t.  Terminates: second-round events all
-      // run at exactly t, and their crossings land strictly after t.
-      if (prof_ != nullptr) prof_->note_epoch((t - base).ns());
+      // run at exactly t, and their crossings land strictly after t.  A
+      // drain's unbounded pass spans no finite epoch, so it notes none.
+      if (prof_ != nullptr && t != TimeNs::max()) prof_->note_epoch((t - base).ns());
       run_pass(t, true);
       set_clocks(t, true);
       while (inject_crossings(t)) run_pass(t, true);
@@ -618,35 +602,6 @@ void Simulator::run_until_sharded(TimeNs t) {
     set_clocks(base + TimeNs{w * la}, false);
     note_injected_progress();
   }
-  if (prof_ != nullptr) prof_->add_run_wall(obs::ProfClock::now() - wall_t0);
-}
-
-void Simulator::run_sharded_drain() {
-  ensure_exec_started();
-  const ShardScope scope = scoped(0);
-  const std::int64_t wall_t0 = prof_ != nullptr ? obs::ProfClock::now() : 0;
-  while (true) {
-    reset_channels();
-    const TimeNs earliest = earliest_pending();
-    if (earliest == TimeNs::max()) break;  // mailboxes are empty between passes
-    if (lookahead_ == TimeNs::max()) {
-      // No cut links: shards are causally independent; one unbounded
-      // inclusive pass drains everything and can post no crossings.
-      run_pass(TimeNs::max(), true);
-      continue;
-    }
-    if (const int x = single_active_shard(); x >= 0 && solo_run(x, TimeNs::max())) continue;
-    const std::int64_t la = lookahead_.ns();
-    const int w = epoch_windows_;
-    if (prof_ != nullptr) {
-      prof_->note_epoch(w * la);
-      prof_->note_windows(w);
-    }
-    run_pass_windowed(earliest, w);
-    set_clocks(earliest + TimeNs{w * la}, false);
-    note_injected_progress();
-  }
-  if (prof_ != nullptr) prof_->add_run_wall(obs::ProfClock::now() - wall_t0);
 }
 
 void Simulator::enable_profiling(obs::ProfOptions opts) {

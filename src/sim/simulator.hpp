@@ -44,11 +44,11 @@
 // pass each shard self-synchronizes at window boundaries through published
 // per-shard clocks (flush mailboxes, publish clock, spin until peers reach
 // the boundary, drain incoming — DESIGN.md §12), which amortizes the ~µs
-// condvar barrier over UFAB_EPOCH_WINDOWS windows of ~100 ns clock spins.
-// When only one shard has pending events the coordinator skips barriers
-// entirely and runs it solo with a stride of that shard's *outgoing* cut
-// lookahead, routing crossings itself until another shard wakes.  The epoch
-// machinery lives in simulator.cpp; the serial hot paths stay inline here.
+// condvar barrier over 16 windows of ~100 ns clock spins.  When only one
+// shard has pending events the coordinator skips barriers entirely and runs
+// it solo with a stride of that shard's *outgoing* cut lookahead, routing
+// crossings itself until another shard wakes.  The calendar stays inline
+// here; the one run loop and the epoch machinery live in simulator.cpp.
 #pragma once
 
 #include <algorithm>
@@ -107,45 +107,14 @@ class Simulator {
   /// Schedules `fn` after `delay` from now.
   void after(TimeNs delay, UniqueFunction fn) { at(now() + delay, std::move(fn)); }
 
-  /// Runs until every event list (and outbox) drains.
-  void run() {
-    if (shards_.size() == 1) {
-      Shard& s = *shards_.front();
-      if (prof_ != nullptr) {
-        run_serial_profiled(s, TimeNs::max());
-      } else {
-        while (peek(s) != nullptr) pop_and_run(s);
-      }
-    } else {
-      run_sharded_drain();
-    }
-#ifndef NDEBUG
-    audit_occupancy();
-#endif
-  }
+  /// Runs until every event list (and outbox) drains.  No clock moves to a
+  /// horizon: each stays at its shard's last event, or at the last window
+  /// boundary a sharded run parked it at.
+  void run() { run_to(TimeNs::max()); }
 
-  /// Runs all events with time <= `t`, then sets now to `t`.
-  void run_until(TimeNs t) {
-    if (shards_.size() == 1) {
-      Shard& s = *shards_.front();
-      if (prof_ != nullptr) {
-        run_serial_profiled(s, t);
-      } else {
-        while (true) {
-          const Event* ev = peek(s);
-          if (ev == nullptr || ev->at > t) break;
-          pop_and_run(s);
-        }
-      }
-      if (t > s.now) s.now = t;
-      s.now_inclusive = true;  // everything at or before t has run
-    } else {
-      run_until_sharded(t);
-    }
-#ifndef NDEBUG
-    audit_occupancy();
-#endif
-  }
+  /// Runs all events with time <= `t`, then sets now to `t`.  `t ==
+  /// TimeNs::max()` is run().
+  void run_until(TimeNs t) { run_to(t); }
 
   [[nodiscard]] std::uint64_t events_processed() const {
     std::uint64_t total = 0;
@@ -178,7 +147,6 @@ class Simulator {
   [[nodiscard]] int shard_count() const { return static_cast<int>(shards_.size()); }
   /// Always true: canonical (h, k) ordering is the engine's only mode.
   [[nodiscard]] bool canonical_order() const { return true; }
-  [[nodiscard]] TimeNs lookahead() const { return lookahead_; }
 
   /// Epoch synchronization (DESIGN.md §12): one coordinator barrier spans
   /// `windows` lookahead windows (shards self-synchronize at the interior
@@ -191,7 +159,6 @@ class Simulator {
     UFAB_CHECK(windows >= 1);
     epoch_windows_ = windows;
   }
-  [[nodiscard]] int epoch_windows() const { return epoch_windows_; }
 
   /// Per-shard *outgoing* cut lookahead (min prop delay over the shard's
   /// outgoing cut links; TimeNs::max() when the shard has none) from
@@ -261,13 +228,8 @@ class Simulator {
   /// the origin pool and returns there through the return mailboxes when the
   /// destination releases it.  Only valid from inside a running event.
   void post_cross(int dst_shard, TimeNs at, Node* dst, PacketPtr pkt) {
-    UFAB_PROF_SCOPE(obs::ProfCat::kMailboxPost);
-    Shard& s = active();
-    UFAB_CHECK(s.in_event);
-    UFAB_CHECK(dst_shard >= 0 && dst_shard < shard_count() && dst_shard != s.index);
-    ++s.crossings_posted;
-    cross_ch(s.index, dst_shard)
-        .post(Crossing{at, s.cur_id, s.cur_k++, dst_shard, dst, std::move(pkt)});
+    const ChildKey key = alloc_child_key();
+    post_cross_keyed(dst_shard, at, dst, std::move(pkt), key.h, key.k);
   }
 
   // --- explicit-key scheduling (the fused link pipeline, DESIGN.md §13) ---
@@ -396,10 +358,11 @@ class Simulator {
   // --- engine self-profiling (see src/obs/profiler.hpp) ---
 
   /// Attaches the profiling plane.  Must happen before the first run; from
-  /// then on the run loops take their profiled variants (identical schedule,
-  /// plus wall-clock attribution).  Passive by construction: profiling never
-  /// schedules events or consumes randomness, so results are byte-identical
-  /// to an unprofiled run (tests/obs/profiler_test.cpp).
+  /// then on the run loop sends every event through its attribution step
+  /// (identical schedule, plus wall-clock attribution).  Passive by
+  /// construction: profiling never schedules events or consumes randomness,
+  /// so results are byte-identical to an unprofiled run
+  /// (tests/obs/profiler_test.cpp).
   void enable_profiling(obs::ProfOptions opts = {});
 
   /// The attached profiler, or nullptr when profiling is disabled.
@@ -778,15 +741,26 @@ class Simulator {
                     static_cast<std::size_t>(owner)];
   }
 
-  // --- sharded execution (simulator.cpp) ---
+  /// `shard`'s profiling slice, or nullptr when profiling is off (a null
+  /// slice makes obs::ProfScope a no-op).
+  [[nodiscard]] obs::ProfSlice* prof_slice(int shard) {
+    return prof_ != nullptr ? &prof_->slice(shard) : nullptr;
+  }
+
+  // --- execution (simulator.cpp) ---
+  void run_to(TimeNs t);
+  void shard_pass(Shard& s, TimeNs boundary, bool inclusive);
+  void pop_and_run_profiled(Shard& s, obs::ProfSlice& sl);
   void run_until_sharded(TimeNs t);
-  void run_sharded_drain();
   void ensure_exec_started();
   void run_pass(TimeNs boundary, bool inclusive);
   void run_pass_windowed(TimeNs base, int windows);
+  void threaded_pass();
+  void pass_side(Shard& s);
   void windowed_shard_pass(Shard& s);
-  void shard_pass(Shard& s, TimeNs boundary, bool inclusive);
+  void run_window(Shard& s, TimeNs boundary);
   void flush_outgoing(int src);
+  TimeNs absorb(int src, int dst);
   void drain_incoming(Shard& s);
   bool solo_run(int x, TimeNs limit);
   [[nodiscard]] int single_active_shard() const;
@@ -797,11 +771,6 @@ class Simulator {
   [[nodiscard]] bool inject_crossings(TimeNs le_mark);
   void worker_main(int shard_index);
   static void foreign_release_sink(void* ctx, PacketPool* owner, Packet* p);
-
-  // --- profiled run loops (simulator.cpp; same schedule, plus attribution) ---
-  void run_serial_profiled(Shard& s, TimeNs bound);
-  void shard_pass_profiled(Shard& s, TimeNs boundary, bool inclusive);
-  void pop_and_run_profiled(Shard& s, obs::ProfSlice& sl);
 
   inline static thread_local ShardScope::Active tls_{nullptr, nullptr};
 

@@ -124,25 +124,12 @@ void SoakRunner::Impl::build() {
       },
       opts.seed);
 
-  // Sharding: an explicit option wins; otherwise honor UFAB_SHARDS so the
-  // soak exercises the same engine configuration the benches do.  The fault
-  // plane will pin execution to sequential epochs either way — which is
-  // exactly the path the sim.forced_sequential gauge exists to expose.
-  int shards = opts.shards;
-  if (shards == 0) {
-    if (const char* v = std::getenv("UFAB_SHARDS"); v != nullptr && v[0] != '\0') {
-      shards = std::max(1, std::atoi(v));
-    }
-  }
-  if (shards > 0) fab->configure_sharding(shards);
-
-  // UFAB_PROF attaches the engine profiling plane, same as the benches —
-  // prof.* gauges then show up in the soak's metric snapshots.
-  if (const int prof_level = obs::Profiler::env_level(); prof_level > 0) {
-    obs::ProfOptions popts;
-    popts.level = prof_level;
-    fab->sim().enable_profiling(popts);
-  }
+  // The same engine environment the benches read (UFAB_SHARDS,
+  // UFAB_SHARD_EXEC, UFAB_PROF), with an explicit shard count winning.  The
+  // fault plane will pin execution to sequential epochs either way — which
+  // is exactly the path the sim.forced_sequential gauge exists to expose —
+  // and prof.* gauges show up in the soak's metric snapshots.
+  harness::configure_engine_from_env(*fab, opts.shards);
 
   if (opts.observability) {
     obs::ObsOptions oo = harness::obs_options_from_env();

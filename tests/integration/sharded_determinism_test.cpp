@@ -62,8 +62,10 @@ class EnvGuard {
 };
 
 /// `pin_links` pins every link to the two-event serializer before traffic —
-/// the reference the fused pipelines must reproduce.
-Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = false) {
+/// the reference the fused pipelines must reproduce.  `windows` > 0 sets the
+/// lookahead windows per epoch barrier on the experiment's simulator.
+Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = false,
+                        int windows = 0) {
   Experiment exp(
       scheme,
       [](sim::Simulator& s, const topo::FabricOptions& o) {
@@ -72,6 +74,7 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = fals
       {}, {}, seed);
   auto& fab = exp.fab();
   auto& vms = fab.vms();
+  if (windows > 0) fab.sim().set_epoch_windows(windows);
   if (pin_links) {
     for (sim::Link* link : fab.net().links()) link->pin_legacy();
   }
@@ -109,12 +112,10 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = fals
 
 /// `shards == nullptr` leaves UFAB_SHARDS unset: the plain serial engine.
 Snapshot run_with_shards(const char* shards, const char* exec, Scheme scheme,
-                         std::uint64_t seed, const char* windows = nullptr,
-                         bool pin_links = false) {
+                         std::uint64_t seed, int windows = 0, bool pin_links = false) {
   EnvGuard g1("UFAB_SHARDS", shards);
   EnvGuard g2("UFAB_SHARD_EXEC", exec);
-  EnvGuard g3("UFAB_EPOCH_WINDOWS", windows);
-  return run_tiny_fig17(scheme, seed, pin_links);
+  return run_tiny_fig17(scheme, seed, pin_links, windows);
 }
 
 TEST(ShardedDeterminism, OneTwoFourEightShardsAreBitIdentical) {
@@ -140,13 +141,13 @@ TEST(ShardedDeterminism, ThreadedExecutionMatchesSequential) {
 TEST(ShardedDeterminism, AdaptiveEpochsAreScheduleNeutral) {
   // One barrier per lookahead window is the reference; multi-window epochs
   // (any width, either executor) must reproduce it bit for bit.
-  const Snapshot one = run_with_shards("4", "seq", Scheme::kUfab, 41, "1");
+  const Snapshot one = run_with_shards("4", "seq", Scheme::kUfab, 41, 1);
   ASSERT_FALSE(one.fct_us.empty());
-  EXPECT_EQ(one, run_with_shards("4", "seq", Scheme::kUfab, 41, "4"));
-  EXPECT_EQ(one, run_with_shards("4", "seq", Scheme::kUfab, 41, "16"));
-  EXPECT_EQ(one, run_with_shards("4", "threads", Scheme::kUfab, 41, "16"));
-  EXPECT_EQ(one, run_with_shards("8", "threads", Scheme::kUfab, 41, "16"));
-  EXPECT_EQ(one, run_with_shards("8", "seq", Scheme::kUfab, 41, "1"));
+  EXPECT_EQ(one, run_with_shards("4", "seq", Scheme::kUfab, 41, 4));
+  EXPECT_EQ(one, run_with_shards("4", "seq", Scheme::kUfab, 41, 16));
+  EXPECT_EQ(one, run_with_shards("4", "threads", Scheme::kUfab, 41, 16));
+  EXPECT_EQ(one, run_with_shards("8", "threads", Scheme::kUfab, 41, 16));
+  EXPECT_EQ(one, run_with_shards("8", "seq", Scheme::kUfab, 41, 1));
 }
 
 TEST(ShardedDeterminism, PlainEngineMatchesOneShard) {
@@ -163,7 +164,7 @@ TEST(ShardedDeterminism, FusedLinksMatchLegacySerializerBitForBit) {
   // fused pipelines (the default) every observable statistic must survive
   // byte for byte — only the event count may change, and it must shrink.
   auto run_fused = [](const char* shards, const char* exec, bool pinned) {
-    return run_with_shards(shards, exec, Scheme::kUfab, 41, nullptr, pinned);
+    return run_with_shards(shards, exec, Scheme::kUfab, 41, 0, pinned);
   };
   const Snapshot legacy = run_fused("1", nullptr, true);
   const Snapshot fused = run_fused("1", nullptr, false);

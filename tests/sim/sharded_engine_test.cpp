@@ -1,6 +1,7 @@
 // Sharded-engine semantics: canonical ordering (single- and multi-shard),
 // cross-shard packet handoff timing, and the core equivalence claim — a
 // threaded epoch run fires the exact same schedule as a sequential one.
+#include <algorithm>
 #include <cstdint>
 #include <tuple>
 #include <vector>
@@ -89,14 +90,34 @@ struct TwoShardRun {
   std::uint64_t events = 0;
   std::uint64_t crossings[2] = {0, 0};
   std::int64_t final_now = 0;
+  std::int64_t clock[2] = {0, 0};  ///< Each shard's clock after the run.
+  std::uint64_t dispatched = 0;    ///< Profiled runs: dispatch-category calls.
+  double run_wall_ns = 0;          ///< Profiled runs: attributed run wall time.
 };
 
+constexpr std::int64_t kLookahead = 1000;
+
+/// Sum of both dispatch-category call counts over every shard slice.
+std::uint64_t dispatch_count(const Simulator& sim) {
+  std::uint64_t n = 0;
+  for (int s = 0; s < sim.shard_count(); ++s) {
+    const obs::ProfSlice& sl = sim.profiler()->slice(s);
+    n += sl.count[static_cast<std::size_t>(obs::ProfCat::kDispatchDeliver)] +
+         sl.count[static_cast<std::size_t>(obs::ProfCat::kDispatchClosure)];
+  }
+  return n;
+}
+
+/// `shards == 1` is the serial reference: both chains on one plain engine,
+/// each crossing a local delivery under the same child key.  `drain` runs
+/// with run() instead of run_until().  A non-null `epochs_out` profiles the
+/// run.
 TwoShardRun run_two_shard_workload(ShardExec exec, int windows = 16,
-                                   std::uint64_t* epochs_out = nullptr) {
-  constexpr std::int64_t kLookahead = 1000;
+                                   std::uint64_t* epochs_out = nullptr, int shards = 2,
+                                   bool drain = false) {
   constexpr TimeNs kEnd{40'000};
   Simulator sim;
-  sim.configure_shards(2, TimeNs{kLookahead}, exec);
+  if (shards > 1) sim.configure_shards(shards, TimeNs{kLookahead}, exec);
   sim.set_epoch_windows(windows);
   if (epochs_out != nullptr) {
     obs::ProfOptions popts;
@@ -122,7 +143,11 @@ TwoShardRun run_two_shard_workload(ShardExec exec, int windows = 16,
         auto pkt =
             make_packet(sim->packet_pool(), PacketKind::kData, VmPairId{VmId{1}, VmId{2}},
                         TenantId{0}, HostId{0}, HostId{1}, 64 * self + step);
-        sim->post_cross(1 - self, sim->now() + TimeNs{kLookahead}, peer, std::move(pkt));
+        if (sim->shard_count() == 1) {
+          sim->after(TimeNs{kLookahead}, DeliverEvent{peer, std::move(pkt)});
+        } else {
+          sim->post_cross(1 - self, sim->now() + TimeNs{kLookahead}, peer, std::move(pkt));
+        }
       }
       if (sim->now() < TimeNs{30'000}) {
         sim->after(TimeNs{self == 0 ? 331 : 457}, [this] { fire(); });
@@ -132,22 +157,40 @@ TwoShardRun run_two_shard_workload(ShardExec exec, int windows = 16,
   auto* chains = new Chain[2];
   for (int s = 0; s < 2; ++s) {
     chains[s] = Chain{&sim, nodes[1 - s], s, &out.chain_times[s]};
-    const auto scope = sim.scoped(s);
+    const auto scope = sim.scoped(s % shards);
     sim.at(TimeNs{10 + s}, [chain = &chains[s]] { chain->fire(); });
   }
-  sim.run_until(kEnd);
+  if (drain) {
+    sim.run();
+  } else {
+    sim.run_until(kEnd);
+  }
 
   for (int s = 0; s < 2; ++s) {
     out.arrivals[s] = nodes[s]->arrivals;
-    out.crossings[s] = sim.shard_crossings_out(s);
+    if (shards > 1) out.crossings[s] = sim.shard_crossings_out(s);
+    const auto scope = sim.scoped(s % shards);
+    out.clock[s] = sim.now().ns();
   }
   out.events = sim.events_processed();
   out.final_now = sim.now().ns();
-  if (epochs_out != nullptr) *epochs_out = sim.profiler()->epochs();
+  if (epochs_out != nullptr) {
+    *epochs_out = sim.profiler()->epochs();
+    out.dispatched = dispatch_count(sim);
+    out.run_wall_ns = sim.profiler()->run_wall_ns();
+  }
   delete[] chains;
   delete nodes[0];
   delete nodes[1];
   return out;
+}
+
+/// The time of the last event that ran on shard `s` (its last chain step or
+/// its last arrival).
+std::int64_t last_event(const TwoShardRun& r, int s) {
+  std::int64_t last = r.chain_times[s].empty() ? 0 : r.chain_times[s].back();
+  if (!r.arrivals[s].empty()) last = std::max(last, r.arrivals[s].back().first);
+  return last;
 }
 
 TEST(ShardedEngine, ThreadedEpochsMatchSequentialExactly) {
@@ -208,6 +251,102 @@ TEST(ShardedEngine, AdaptiveEpochsAmortizeBarriers) {
   EXPECT_LE(sixteen * 4, one)
       << "16-window epochs should amortize >=4x fewer barriers (windows=1: " << one
       << ", windows=16: " << sixteen << ")";
+}
+
+TEST(ShardedEngine, DrainMatchesSerialRun) {
+  // run() on a cut-link engine fires the serial run's schedule on either
+  // executor.  A serial drain leaves now() at the last event; a sharded one
+  // leaves every clock finite — at or past its shard's last event, since
+  // window boundaries park clocks — and never at TimeNs::max().
+  const TwoShardRun serial =
+      run_two_shard_workload(ShardExec::kSequential, 16, nullptr, /*shards=*/1, /*drain=*/true);
+  ASSERT_GT(serial.chain_times[0].size(), 10u);
+  ASSERT_FALSE(serial.arrivals[0].empty());
+  ASSERT_FALSE(serial.arrivals[1].empty());
+  EXPECT_EQ(serial.final_now, std::max(last_event(serial, 0), last_event(serial, 1)));
+  std::int64_t seq_clock[2] = {0, 0};
+  for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
+    const TwoShardRun run = run_two_shard_workload(exec, 16, nullptr, 2, /*drain=*/true);
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(serial.chain_times[s], run.chain_times[s]) << "shard " << s;
+      EXPECT_EQ(serial.arrivals[s], run.arrivals[s]) << "shard " << s;
+      EXPECT_GT(run.crossings[s], 0u);
+      EXPECT_NE(run.clock[s], TimeNs::max().ns()) << "shard " << s;
+      EXPECT_GE(run.clock[s], last_event(run, s)) << "shard " << s;
+      if (exec == ShardExec::kSequential) {
+        seq_clock[s] = run.clock[s];
+      } else {
+        EXPECT_EQ(seq_clock[s], run.clock[s]) << "shard " << s;
+      }
+    }
+    EXPECT_EQ(serial.events, run.events);
+  }
+}
+
+TEST(ShardedEngine, ProfiledDrainAttributesEveryEvent) {
+  // A profiled run() — serial, and on both executors of a cut-link engine —
+  // sends every event through the attribution step, accounts its run wall
+  // time, and fires the unprofiled schedule.
+  const TwoShardRun plain =
+      run_two_shard_workload(ShardExec::kSequential, 16, nullptr, /*shards=*/1, /*drain=*/true);
+  struct Config {
+    int shards;
+    ShardExec exec;
+  };
+  for (const Config c : {Config{1, ShardExec::kSequential}, Config{2, ShardExec::kSequential},
+                         Config{2, ShardExec::kThreads}}) {
+    std::uint64_t epochs = 0;
+    const TwoShardRun run = run_two_shard_workload(c.exec, 16, &epochs, c.shards, true);
+    EXPECT_EQ(run.dispatched, run.events) << c.shards << " shards";
+    EXPECT_GT(run.run_wall_ns, 0.0) << c.shards << " shards";
+    EXPECT_EQ(plain.events, run.events);
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(plain.chain_times[s], run.chain_times[s]) << "shard " << s;
+      EXPECT_EQ(plain.arrivals[s], run.arrivals[s]) << "shard " << s;
+    }
+  }
+}
+
+TEST(ShardedEngine, UncutDrainLeavesClocksAtLastEvents) {
+  // No cut links (lookahead == TimeNs::max()): the shards are causally
+  // independent.  A drain with work on one shard or on both runs every event,
+  // leaves each clock exactly at its shard's last event (an idle shard's at
+  // zero), and notes no epoch: an unbounded pass spans no finite epoch.
+  struct Tick {
+    Simulator* sim;
+    std::vector<std::int64_t>* fired;
+    std::int64_t step_ns;
+    void fire() {
+      fired->push_back(sim->now().ns());
+      if (fired->size() < 20) sim->after(TimeNs{step_ns}, [this] { fire(); });
+    }
+  };
+  for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
+    for (const int active : {1, 2}) {
+      Simulator sim;
+      sim.configure_shards(2, TimeNs::max(), exec);
+      obs::ProfOptions popts;
+      popts.level = 1;
+      sim.enable_profiling(popts);
+      std::vector<std::int64_t> fired[2];
+      Tick ticks[2] = {Tick{&sim, &fired[0], 700}, Tick{&sim, &fired[1], 1100}};
+      // With one active shard the work sits on shard 1, so the drain is not
+      // just the coordinator's own shard.
+      for (int s = 2 - active; s < 2; ++s) {
+        const auto scope = sim.scoped(s);
+        sim.at(TimeNs{5 + s}, [tick = &ticks[s]] { tick->fire(); });
+      }
+      sim.run();
+      EXPECT_EQ(sim.events_processed(), 20u * static_cast<std::uint64_t>(active));
+      EXPECT_EQ(dispatch_count(sim), sim.events_processed());
+      EXPECT_EQ(sim.profiler()->epochs(), 0u);
+      for (int s = 0; s < 2; ++s) {
+        const std::int64_t expected = fired[s].empty() ? 0 : fired[s].back();
+        const auto scope = sim.scoped(s);
+        EXPECT_EQ(sim.now().ns(), expected) << "shard " << s << ", " << active << " active";
+      }
+    }
+  }
 }
 
 TEST(ShardMailboxUnit, PostFlushDrainKeepsOrderAndCounts) {
