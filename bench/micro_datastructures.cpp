@@ -329,11 +329,11 @@ void BM_Fig17Slice(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig17Slice)->Unit(benchmark::kMillisecond);
 
-/// One busy link delivering bursts end to end, fused pipeline vs the
-/// two-event serializer a pinned link uses (Arg: 1 = fused, 0 = pinned).  The
-/// only difference is the serializer itself; the fused path should win on
-/// events scheduled (one calendar entry per busy link instead of two per
-/// packet) and therefore on ns/packet (DESIGN.md §13).
+/// One busy link delivering bursts end to end, plain pipe vs the same pipe
+/// with wire-exit events (Arg: 1 = plain, 0 = wire-exit events, the option
+/// flapped links carry).  The plain link should win on events scheduled (one
+/// calendar entry per busy link instead of two per packet) and therefore on
+/// ns/packet (DESIGN.md §13.1).
 void BM_LinkPipelineHop(benchmark::State& state) {
   const bool fused = state.range(0) != 0;
   constexpr int kBursts = 64;
@@ -343,7 +343,7 @@ void BM_LinkPipelineHop(benchmark::State& state) {
     NullNode sink;
     sim::Link link(sim, LinkId{0}, "l", &sink,
                    sim::LinkConfig{Bandwidth::gbps(10.0), 1_us, 1 << 20, -1, 0.95});
-    if (!fused) link.pin_legacy();
+    if (!fused) link.enable_wire_exit();
     auto& pool = sim.packet_pool();
     for (int b = 0; b < kBursts; ++b) {
       sim.at(TimeNs{1 + b * 15'000}, [&link, &pool] {

@@ -19,7 +19,7 @@ The report answers the two questions the sharding work needs answered:
   * events / events_per_sec / ns_per_event — engine throughput: total events
     across shards over the run's wall clock.  `deliveries` counts packet-hop
     delivery events (scope dispatch_deliver); events per delivery is what the
-    fused link pipelines (DESIGN.md §13) hold near 1, so the perf lane
+    link pipe (DESIGN.md §13.1) holds near 1, so the perf lane
     guards it.
 
 With --json, emits exactly those derived numbers (single file only) so

@@ -26,9 +26,9 @@
 # unprofiled run with no UFAB_SHARDS (one engine, one schedule; the profiler
 # is passive).  Two machine-independent guards read the emitted
 # *.profile.json files, in smoke too:
-#   * fused link pipelines — the serial cell retires at most 1.5 calendar
+#   * the link pipe — the serial cell retires at most 1.5 calendar
 #     events per delivered packet hop (events / scope_count.dispatch_deliver;
-#     a two-event serializer would sit near 2);
+#     a wire-exit event on every hop would sit near 2);
 #   * multi-window epochs — the sharded cell spans at least 5 lookahead
 #     windows per coordinator barrier (windows / epochs).
 # The stall/imbalance/epoch numbers are merged into BENCH_engine.json via
@@ -156,7 +156,7 @@ echo "[perf] stall/imbalance report:" >&2
 scripts/profile_report.py bench_artifacts/prof-serial/*.profile.json \
   bench_artifacts/prof-sharded/*.profile.json >&2
 
-# Machine-independent guards (smoke too): fused pipelines keep the serial
+# Machine-independent guards (smoke too): the link pipe keeps the serial
 # cell near one calendar event per hop, and multi-window epochs amortize
 # each coordinator barrier over >= 5 lookahead windows.
 if ! python3 -c '
@@ -352,7 +352,7 @@ doc = {
              "figures (events, events_per_sec, ns_per_event); prof_overhead "
              "is the guarded BM_Fig17Slice cost of enabling the profiler.  "
              "guards holds the two machine-independent checks: events per "
-             "delivered hop on the serial cell (fused link pipelines) and "
+             "delivered hop on the serial cell (the link pipe) and "
              "lookahead windows per barrier on the sharded cell.",
     "host": {
         "machine": platform.machine(),

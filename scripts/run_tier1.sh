@@ -7,7 +7,7 @@
 #   scripts/run_tier1.sh thread          # TSan lane (sharded engine races)
 #   scripts/run_tier1.sh debug           # Debug lane: no NDEBUG, so the
 #                                        # debug-only contract checks run (WFQ
-#                                        # arm audit, fused-link pipe order,
+#                                        # arm audit, link pipe contract,
 #                                        # RTO sweep lateness, calendar
 #                                        # occupancy bitmap)
 #

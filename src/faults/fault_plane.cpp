@@ -118,12 +118,16 @@ bool FaultPlane::matches(LossClass klass, const sim::Packet& pkt) {
 
 void FaultPlane::arm_flap(const FlapSpec& spec) {
   sim::Link* link = fab_.net().link(spec.link);
-  // A flapped link must use the two-event serializer: a fused *cut* link posts
-  // its cross-shard crossing when serialization starts, and a later
-  // set_down(true) could not recall it.  The pin is applied on every
-  // partition (the flap schedule is partition-invariant), so per-hop event
-  // counts stay byte-identical across shard counts.
-  link->pin_legacy();
+  // A flapped link gets wire-exit events: a *cut* link otherwise posts its
+  // cross-shard crossing at commit, and a later set_down(true) could not
+  // recall it.  The option is schedule-neutral and set on every partition
+  // (the flap schedule is partition-invariant), so per-hop event counts stay
+  // byte-identical across shard counts.
+  link->enable_wire_exit();
+  // The flap runs on the link's own shard (root keys are shared, so its
+  // order is the same on every partition): set_down then sees exactly the
+  // packets a plain run's does, not the state of a shard lagging mid-window.
+  const auto scope = fab_.sim().scoped(fab_.shard_of_node(fab_.net().link_owner(spec.link)));
   for (int k = 0; k < spec.repeats; ++k) {
     const TimeNs shift = spec.period * k;
     fab_.sim().at(spec.down_at + shift, [this, link] {

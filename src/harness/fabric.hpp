@@ -125,9 +125,11 @@ class Fabric {
 
   /// Schedules a callback that touches state across the whole fabric —
   /// killing a set of links, reading every switch's registers.  Under a
-  /// multi-shard engine this forces sequential epoch execution (results are
-  /// identical, only the parallelism is declined; DESIGN.md §9.4), because
-  /// no single shard may safely reach across the partition mid-epoch.
+  /// multi-shard engine this forces sequential epoch execution, because no
+  /// single shard may safely reach across the partition mid-epoch.  The
+  /// schedule stays identical, but what the callback reads need not: it runs
+  /// mid-window on its shard while the others stand at their last window
+  /// boundary (DESIGN.md §9.4).  Link telemetry reads stay passive.
   template <typename F>
   void schedule_global(TimeNs t, F&& fn) {
     if (sim_.shard_count() > 1) sim_.require_sequential("global-callback");

@@ -12,9 +12,14 @@ namespace ufab::sim {
 namespace {
 /// Retain enough checkpoints to answer rate queries up to this far back.
 constexpr TimeNs kMaxRateWindow{200'000};  // 200 us
+
+/// Marks a wire-exit event's key: it shares the packet's (h, k) except for
+/// this bit, so its children never share an identity with the delivery's
+/// (an event has far fewer than 2^31 children).
+constexpr std::uint32_t kWireExitTag = 0x8000'0000u;
 }  // namespace
 
-void FusedLinkDeliver::operator()() { link->fire_head(epoch); }
+void FusedLinkDeliver::operator()() { link->fire_front(epoch); }
 
 Link::Link(Simulator& sim, LinkId id, std::string name, Node* dst, LinkConfig cfg)
     : sim_(sim), id_(id), name_(std::move(name)), dst_(dst), cfg_(cfg) {
@@ -69,286 +74,191 @@ void Link::enqueue(PacketPtr pkt) {
     record_drop(*pkt, obs::DropReason::kLinkDown);
     return;
   }
-  if (use_fused()) {
-    enqueue_fused(std::move(pkt));
-    return;
-  }
+  settle();
   if (!admit(*pkt)) return;
-  queue_bytes_ += pkt->size_bytes;
-  max_queue_bytes_ = std::max(max_queue_bytes_, queue_bytes_);
-  queue_.push_back(std::move(pkt));
-  if (!busy_) start_next();
+  // The high-water mark counts the arriving packet, even on an idle link.
+  max_queue_bytes_ = std::max(max_queue_bytes_, queue_bytes_ + pkt->size_bytes);
+  commit(std::move(pkt));
 }
 
-void Link::enqueue_fused(PacketPtr pkt) {
-  // Catch everything the legacy engine would already have done by now, so the
-  // admission checks below see exactly the state legacy enqueue() would.
-  advance();
-  UFAB_CHECK(!busy_ && !in_flight_);  // legacy serializer must never be active
+void Link::commit(PacketPtr pkt) {
   if (home_ == nullptr) home_ = sim_.active_shard_handle();
-  UFAB_CHECK_MSG(home_ == sim_.active_shard_handle(),
-                 "fused link committed from a foreign shard");
-  if (!admit(*pkt)) return;
-
-  const std::int32_t bytes = pkt->size_bytes;
-  // Commit the packet's serialization interval eagerly.  Idle serializer:
-  // it starts now, and its virtual serializer-end event consumes the exact
-  // child-key slot legacy start_next()'s after() call would have.  Busy:
-  // it starts when its predecessor's serialization ends, and its virtual
-  // event is the predecessor event's second child (the first child is the
-  // predecessor's own delivery) — the slot legacy's chained start_next()
-  // would have consumed.
-  const bool idle = (mat_ == pipe_.size());
+  UFAB_CHECK_MSG(home_ == sim_.active_shard_handle(), "link committed from a foreign shard");
+  const TimeNs now = sim_.now();
+  const TimeNs start = pipe_.empty() ? now : std::max(now, pipe_.back().ser_end);
+  const Simulator::ChildKey key = sim_.alloc_child_key();
   PipeEntry e;
-  e.bytes = bytes;
-  e.in_queue = !idle;
-  if (idle) {
-    const Simulator::ChildKey key = sim_.alloc_child_key();
-    e.h = key.h;
-    e.k = key.k;
-    e.ser_end = sim_.now() + cfg_.capacity.tx_time(bytes);
-  } else {
-    const PipeEntry& prev = pipe_.back();
-    e.h = Simulator::event_identity(prev.h, prev.k);
-    e.k = 1;
-    e.ser_end = prev.ser_end + cfg_.capacity.tx_time(bytes);
-  }
-  // Legacy enqueue() adds the packet to the queue before start_next() pulls
-  // it back out, so max_queue_bytes_ observes the transient even on an idle
-  // link; queue_bytes_ itself only grows when the packet actually waits.
-  max_queue_bytes_ = std::max(max_queue_bytes_, queue_bytes_ + bytes);
-  if (!idle) queue_bytes_ += bytes;
-
-  // The delivery at the peer is the virtual serializer-end event's first
-  // child: raw key (event_identity(h, k), 0), byte-identical to the key the
-  // legacy DeliverEvent / crossing would carry.
-  if (cross_shard_dst_ >= 0) {
-    // Cut link: post the crossing eagerly so the hop still costs one event
-    // on every partition (event counts are compared bit-exactly across shard
-    // counts).  The crossing's arrival is >= the first epoch boundary after
-    // this commit (prop_delay >= lookahead for cut links), so posting early
-    // never outruns the conservative window protocol.
+  e.bytes = pkt->size_bytes;
+  e.ser_end = start + cfg_.capacity.tx_time(e.bytes);
+  e.h = key.h;
+  e.k = key.k;
+#ifndef NDEBUG
+  e.commit = now;
+#endif
+  // A packet that cannot start now waits behind the one being serialized.
+  if (start > now) queue_bytes_ += e.bytes;
+  if (posts_at_commit()) {
+    // The hop still costs one event on every partition (event counts are
+    // compared bit-exactly across shard counts).  The crossing arrives at
+    // ser_end + prop >= now + lookahead, so posting early never outruns the
+    // conservative window protocol.
     sim_.post_cross_keyed(cross_shard_dst_, e.ser_end + cfg_.prop_delay, dst_, std::move(pkt),
-                          Simulator::event_identity(e.h, e.k), 0);
-    pipe_.push_back(std::move(e));
+                          e.h, e.k);
   } else {
     e.pkt = std::move(pkt);
-    pipe_.push_back(std::move(e));
-    // Head of an idle pipe: arm the single resident calendar event.
-    if (pipe_.size() == 1) arm_head();
   }
+  pipe_.push_back(std::move(e));
+  if (pipe_.size() == 1 && !posts_at_commit()) arm_front();
   check_pipe_order();
 }
 
-void Link::arm_head() {
-  const PipeEntry& head = pipe_.front();
-  sim_.at_keyed(head.ser_end + cfg_.prop_delay, Simulator::event_identity(head.h, head.k), 0,
-                FusedLinkDeliver{this, epoch_});
+void Link::pull() {
+  // The source may re-enter enqueue() (the transport's probe cadence fires
+  // while the NIC pulls the next data packet); that packet commits first.
+  if (PacketPtr pkt = source_(); pkt != nullptr) commit(std::move(pkt));
 }
 
-void Link::advance() const {
-  // Replay, in order, every virtual serializer-end milestone whose (time,
-  // key) the executing shard has passed — i.e. every milestone the legacy
-  // engine would already have run as a real calendar event.  Each replay
-  // performs exactly the state updates legacy finish_transmit()/start_next()
-  // performed at that instant: cumulative TX bytes, a rate checkpoint
-  // (trimmed with the milestone's own timestamp as "now"), and the
-  // successor's dequeue.
-  while (mat_ < pipe_.size()) {
-    const PipeEntry& e = pipe_[mat_];
-    if (!sim_.key_fired(home_, e.ser_end, e.h, e.k)) break;
-    note_departure(e.ser_end, e.bytes);
-    if (mat_ + 1 < pipe_.size()) {
-      PipeEntry& next = pipe_[mat_ + 1];
-      if (next.in_queue) {
-        next.in_queue = false;
-        queue_bytes_ -= next.bytes;
-      }
+void Link::kick() {
+  if (source_ && !down_ && pipe_.empty()) pull();
+}
+
+void Link::arm_front() {
+  const PipeEntry& f = pipe_.front();
+  if (wire_exit_) {
+    sim_.at_keyed(f.ser_end, f.h, f.k | kWireExitTag,
+                  [this, epoch = epoch_] { fire_front(epoch); });
+  } else {
+    sim_.at_keyed(f.ser_end + cfg_.prop_delay, f.h, f.k, FusedLinkDeliver{this, epoch_});
+  }
+}
+
+void Link::settle() const {
+  if (settled_ == pipe_.size()) return;
+  const TimeNs now = clock();
+  while (settled_ < pipe_.size() && pipe_[settled_].ser_end <= now) {
+    const PipeEntry& e = pipe_[settled_];
+    tx_bytes_cum_ += e.bytes;
+    checkpoints_.push_back({e.ser_end, tx_bytes_cum_});
+    while (checkpoints_.size() > 2 && e.ser_end - checkpoints_.front().first > kMaxRateWindow) {
+      checkpoints_.pop_front();
     }
-    ++mat_;
+    // The successor starts serializing: it leaves the queue.
+    if (++settled_ < pipe_.size()) queue_bytes_ -= pipe_[settled_].bytes;
   }
-  if (cross_shard_dst_ >= 0) {
-    // Cut links have no local delivery: a materialized entry's packet is
-    // already traveling in the mailbox, so the entry is fully retired.
-    while (mat_ > 0) {
-      pipe_.pop_front();
-      --mat_;
-    }
+  if (posts_at_commit()) {
+    // Its packets travel with their crossings: a settled entry is retired.
+    for (; settled_ > 0; --settled_) pipe_.pop_front();
   }
 }
 
-void Link::note_departure(TimeNs at, std::int32_t bytes) const {
-  tx_bytes_cum_ += bytes;
-  checkpoints_.push_back({at, tx_bytes_cum_});
-  while (checkpoints_.size() > 2 && at - checkpoints_.front().first > kMaxRateWindow) {
-    checkpoints_.pop_front();
-  }
-}
-
-void Link::fire_head(std::uint64_t epoch) {
-  if (epoch != epoch_) return;  // pipeline aborted by set_down
-  advance();
-  // The head's serialization milestone precedes its delivery by prop_delay
-  // > 0, so by the time this event runs it must have been replayed.
-  UFAB_CHECK(mat_ > 0);
-  PipeEntry head = std::move(pipe_.front());
+void Link::fire_front(std::uint64_t epoch) {
+  if (epoch != epoch_) return;  // its entry was dropped by set_down
+  settle();
+  // Both the wire exit and the delivery come at or after the serializer end.
+  UFAB_CHECK(settled_ > 0);
+  PipeEntry e = std::move(pipe_.front());
   pipe_.pop_front();
-  --mat_;
-  UFAB_CHECK(head.pkt != nullptr);
-  // Re-arm for the next in-flight packet before delivering: receive() can
+  --settled_;
+  // Re-arm for the next packet before handing this one on: receive() can
   // re-enter this link, and the pipe must look consistent when it does.
-  if (!pipe_.empty()) arm_head();
+  if (!pipe_.empty()) arm_front();
   check_pipe_order();
-  dst_->receive(std::move(head.pkt));
+  if (!wire_exit_) {
+    dst_->receive(std::move(e.pkt));
+    return;
+  }
+  if (fault_filter_ && fault_filter_(*e.pkt)) {
+    // Lost on the wire (fault injection): link time was consumed but the
+    // packet never reaches the peer.
+    ++fault_drops_;
+    record_drop(*e.pkt, obs::DropReason::kWireFault);
+  } else {
+    deliver(std::move(e));
+  }
+  if (pipe_.empty() && source_ && !down_) pull();
 }
 
-void Link::leave_pipeline() {
-  advance();
-  if (mat_ == pipe_.size()) return;  // nothing left to serialize
-  UFAB_CHECK_MSG(cross_shard_dst_ < 0,
-                 "fused cut link leaves its pipeline mid-serialization: its crossings "
-                 "were posted at commit time and cannot be recalled");
-  // The handed-over finish event must land on the link's own calendar.
-  UFAB_CHECK_MSG(home_ == sim_.active_shard_handle(),
-                 "fused link leaves its pipeline from a foreign shard");
-  if (mat_ == 0) ++epoch_;  // the head event pointed at the entry that moves
-  // The entry being serialized finishes at its own ser_end under the raw key
-  // its virtual serializer-end event carried, so its delivery and its
-  // successors keep the keys they would have had on the fused path.
-  PipeEntry& cur = pipe_[mat_];
-  busy_ = true;
-  in_flight_ = std::move(cur.pkt);
-  sim_.at_keyed(cur.ser_end, cur.h, cur.k,
-                [this, bytes = cur.bytes, epoch = epoch_] { finish_transmit(bytes, epoch); });
-  // Waiting entries already count toward queue_bytes_.
-  for (std::size_t i = mat_ + 1; i < pipe_.size(); ++i) queue_.push_back(std::move(pipe_[i].pkt));
-  while (pipe_.size() > mat_) pipe_.pop_back();
+void Link::deliver(PipeEntry e) {
+  const TimeNs at = e.ser_end + cfg_.prop_delay;
+  if (cross_shard_dst_ >= 0) {
+    sim_.post_cross_keyed(cross_shard_dst_, at, dst_, std::move(e.pkt), e.h, e.k);
+  } else {
+    // Delivery is a future event that owns the packet (freed with the queue
+    // if the run is cut short).
+    sim_.at_keyed(at, e.h, e.k, DeliverEvent{dst_, std::move(e.pkt)});
+  }
+}
+
+void Link::enable_wire_exit() {
+  if (wire_exit_) return;
+  settle();
+  if (!pipe_.empty()) {
+    UFAB_CHECK_MSG(!posts_at_commit(),
+                   "wire-exit events enabled on a cut link with traffic: its crossings were "
+                   "posted at commit and cannot be recalled");
+    UFAB_CHECK_MSG(home_ == sim_.active_shard_handle(),
+                   "wire-exit events enabled from a foreign shard");
+    // The resident head delivery goes stale: packets already on the wire
+    // become the delivery events their wire exits would have scheduled, and
+    // the first one still serializing gets its wire-exit event.
+    ++epoch_;
+    for (; settled_ > 0; --settled_) {
+      deliver(std::move(pipe_.front()));
+      pipe_.pop_front();
+    }
+  }
+  wire_exit_ = true;
+  if (!pipe_.empty()) arm_front();
   check_pipe_order();
 }
 
 void Link::check_pipe_order() const {
 #ifndef NDEBUG
-  // The fused pipe must be a FIFO in serialization time: entries are
-  // committed in arrival order and ser_end is nondecreasing front to back.
-  // A violation would mean the fused engine could deliver out of order.
-  for (std::size_t i = 1; i < pipe_.size(); ++i) {
-    UFAB_CHECK_MSG(!(pipe_[i].ser_end < pipe_[i - 1].ser_end),
-                   "fused link pipe reordered");
+  // The pipe's contract: each packet starts when it was committed or when
+  // the wire freed, whichever is later (so ser_end increases front to back
+  // and the FIFO can never reorder), and the settled prefix is exactly the
+  // entries whose serialization ended by the link's clock.  The front's
+  // predecessor has left the pipe, so the front is checked against its
+  // commit alone.
+  const TimeNs now = clock();
+  for (std::size_t i = 0; i < pipe_.size(); ++i) {
+    const PipeEntry& e = pipe_[i];
+    const TimeNs start = e.ser_end - cfg_.capacity.tx_time(e.bytes);
+    UFAB_CHECK_MSG(i == 0 ? start >= e.commit
+                          : start == std::max(e.commit, pipe_[i - 1].ser_end),
+                   "link pipe entry does not start when the wire frees");
+    UFAB_CHECK_MSG((i < settled_) == (e.ser_end <= now),
+                   "link pipe settled prefix is not the entries with ser_end <= now");
   }
-  UFAB_CHECK(mat_ <= pipe_.size());
 #endif
-}
-
-void Link::kick() {
-  if (!busy_ && !down_) start_next();
 }
 
 void Link::set_down(bool down) {
   if (down_ == down) return;
   down_ = down;
-  if (down_) {
-    advance();
-    drops_ += static_cast<std::int64_t>(queue_.size());
-    queue_.clear();
-    if (mat_ < pipe_.size()) {
-      // Drop the fused entries that are not yet on the wire: in legacy terms
-      // the suffix [mat_+1, size) is the queue and entry mat_ is in flight.
-      // Packets already past their serializer-end (entries [0, mat_)) are
-      // propagating and still deliver, exactly like legacy DeliverEvents.
-      UFAB_CHECK_MSG(cross_shard_dst_ < 0,
-                     "set_down on a fused cut link: its crossings were posted "
-                     "at commit time and cannot be recalled — pin_legacy() "
-                     "flapped cut links");
-      const std::size_t sz = pipe_.size();
-      drops_ += static_cast<std::int64_t>(sz - mat_);
-      // Destroy in legacy order: queued packets front to back, then the
-      // in-flight one (packet-pool free order feeds later allocations).
-      for (std::size_t i = mat_ + 1; i < sz; ++i) pipe_[i].pkt.reset();
-      pipe_[mat_].pkt.reset();
-      while (pipe_.size() > mat_) pipe_.pop_back();
-      if (mat_ == 0) {
-        // The resident head event pointed at a dropped entry; neutralize it.
-        ++epoch_;
-      }
-      check_pipe_order();
-    }
-    queue_bytes_ = 0;
-    if (in_flight_) {
-      // Abort the in-flight serialization: drop the packet, free the
-      // serializer, and bump the epoch so the already-scheduled completion
-      // event becomes a no-op. Leaving busy_ set here would make kick()
-      // after a fast re-enable a no-op until the stale event fired.
-      in_flight_.reset();
-      ++drops_;
-      ++epoch_;
-      busy_ = false;
-      // After leave_pipeline, packets still propagating in the pipe keep
-      // arriving: re-arm their head event under the new epoch.
-      if (!pipe_.empty()) arm_head();
-    }
-  } else {
+  if (!down_) {
     kick();
+    return;
   }
-}
-
-void Link::start_next() {
-  UFAB_CHECK(!busy_);
-  // Claim the serializer before running the pull callback: source_() can
-  // re-enter enqueue() on this same link (e.g. the transport's probe cadence
-  // fires while the NIC asks for the next data packet), and a nested
-  // start_next() would put that packet in flight only for the assignment
-  // below to overwrite — and silently destroy — it.
-  busy_ = true;
-  PacketPtr pkt;
-  if (queue_.empty() && source_) pkt = source_();
-  // Queued packets go first; when the pull came back empty, a re-entrant
-  // enqueue during it may have queued one — serialize it now rather than
-  // leaving it stranded until the next kick.
-  if (!pkt && !queue_.empty()) {
-    pkt = std::move(queue_.front());
-    queue_.pop_front();
-    queue_bytes_ -= pkt->size_bytes;
-  }
-  if (!pkt) {
-    busy_ = false;
-    return;  // idle
-  }
-  const std::int32_t bytes = pkt->size_bytes;
-  in_flight_ = std::move(pkt);
-  sim_.after(cfg_.capacity.tx_time(bytes),
-             [this, bytes, epoch = epoch_] { finish_transmit(bytes, epoch); });
-}
-
-void Link::finish_transmit(std::int32_t bytes, std::uint64_t epoch) {
-  if (epoch != epoch_) return;  // serialization aborted by set_down
-  busy_ = false;
-  if (in_flight_) {
-    note_departure(sim_.now(), bytes);
-    PacketPtr pkt = std::move(in_flight_);
-    if (fault_filter_ && fault_filter_(*pkt)) {
-      // Lost on the wire (fault injection): link time was consumed but the
-      // packet never reaches the peer.
-      ++fault_drops_;
-      record_drop(*pkt, obs::DropReason::kWireFault);
-    } else if (cross_shard_dst_ >= 0) {
-      // The peer lives on another engine shard: hand the packet to the
-      // cross-shard mailbox with the exact arrival time and ordering key the
-      // local after() call would have produced (post_cross consumes the same
-      // child slot), so the merged schedule is partition-independent.
-      sim_.post_cross(cross_shard_dst_, sim_.now() + cfg_.prop_delay, dst_, std::move(pkt));
-    } else {
-      // Hand the packet to the propagation stage; delivery is a future event
-      // that owns the packet (freed with the queue if the run is cut short).
-      sim_.after(cfg_.prop_delay, DeliverEvent{dst_, std::move(pkt)});
-    }
-  }
-  if (!down_) start_next();
+  settle();
+  const std::size_t unsettled = pipe_.size() - settled_;
+  if (unsettled == 0) return;
+  // Packets past their serializer end are on the wire and still arrive;
+  // the rest never leave.
+  UFAB_CHECK_MSG(!posts_at_commit(),
+                 "set_down on a cut link whose crossings were posted at commit: "
+                 "enable_wire_exit() on links that flap");
+  drops_ += static_cast<std::int64_t>(unsettled);
+  if (settled_ == 0) ++epoch_;  // the resident front event pointed at a dropped entry
+  while (pipe_.size() > settled_) pipe_.pop_back();
+  queue_bytes_ = 0;
+  check_pipe_order();
 }
 
 Bandwidth Link::tx_rate(TimeNs window) const {
-  advance();
+  settle();
   if (checkpoints_.empty()) return Bandwidth::zero();
-  const TimeNs now = sim_.now();
+  const TimeNs now = clock();
   const TimeNs cutoff = now - window;
   // Find the most recent checkpoint at or before the cutoff.
   std::int64_t base_bytes = 0;

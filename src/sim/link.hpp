@@ -2,32 +2,29 @@
 //
 // A Link models one egress: a tail-drop FIFO, a serializer running at the
 // link capacity, and the propagation delay to the peer node.  Switch egresses
-// use the push queue; host NICs additionally register a pull source so the
-// host's packet scheduler is consulted exactly when the wire goes idle (this
-// is how the hierarchical WFQ of uFAB-E is enforced without a second queue).
+// push packets; host NICs additionally register a pull source so the host's
+// packet scheduler is consulted exactly when the wire goes idle (this is how
+// the hierarchical WFQ of uFAB-E is enforced without a second queue).
 //
 // The link also owns the state the informative core reads: cumulative TX
 // bytes (for sender-side rate differentiation, as in HPCC), a short-window
 // rate estimate, instantaneous queue depth, and ECN marking.
 //
-// Two serializer implementations share that contract (DESIGN.md §13):
+// One serializer (DESIGN.md §13.1): every packet — pushed by a switch or
+// pulled from a NIC's source — is committed on arrival to an in-order pipe
+// (`pipe_`) with its serialization interval [start, ser_end), start =
+// max(now, wire free), and one child key of the event that commits it.  The
+// delivery at the peer fires at (ser_end + prop, key).  Cumulative TX, rate
+// checkpoints and queue depth settle from the pipe by time: an entry has left
+// the serializer once ser_end <= now on the link's own shard clock.
 //
-//  * Fused pipeline (every push link with a nonzero propagation delay): the
-//    link keeps an in-order FIFO of in-flight packets (`pipe_`) and the
-//    calendar holds only the *head* departure — one resident event per busy
-//    link instead of two per packet.  Serialization milestones are virtual:
-//    each pipe entry carries the raw (h, k) ordering key its serializer-end
-//    event would have used on the two-event path, and bookkeeping
-//    (cumulative TX, rate checkpoints, queue accounting) replays lazily,
-//    exactly when the engine's key_fired() predicate says that event would
-//    already have run.  Delivery events reuse the same keys, so schedules,
-//    telemetry, and shard handoffs match the two-event serializer.
-//
-//  * Two-event path: every packet hop schedules a serializer-end closure plus
-//    a DeliverEvent one propagation delay later.  Links that need a real
-//    event at wire exit use it: pull-source (host NIC) links, links with
-//    wire-loss fault filters, and links the fault plane pins.  A link that
-//    switches mid-run hands its pipe over to it (leave_pipeline).
+// A plain push link keeps one resident calendar event: the pipe head's
+// delivery.  A cut link posts each crossing at commit instead.  Links whose
+// semantics need an event when a packet leaves the wire — pull sources (the
+// next pull), wire-loss filters (the draw), and links the fault plane flaps
+// (a cut link's crossing must stay recallable by set_down) — get a wire-exit
+// event at ser_end instead; it hands the packet to its delivery under the
+// same key and time, so the option is schedule-neutral.
 #pragma once
 
 #include <cstdint>
@@ -71,22 +68,24 @@ class Link {
   /// Push-path entry (switch egress / host control packets). May tail-drop.
   void enqueue(PacketPtr pkt);
 
-  /// Registers a pull source consulted when the queue is empty and the wire
-  /// is idle (host NIC mode).  Pull links always use the two-event serializer
-  /// (the source callback must run exactly when the wire goes idle).
+  /// Registers a pull source consulted when the wire goes idle (host NIC
+  /// mode): the link gets wire-exit events, and pushed packets go ahead of
+  /// the next pull.
   void set_source(PullSource source) {
-    UFAB_CHECK_MSG(pipe_.empty(), "set_source on a link with fused traffic");
+    UFAB_CHECK_MSG(pipe_.empty(), "set_source on a link with traffic");
     source_ = std::move(source);
+    wire_exit_ = true;
   }
 
   /// Re-evaluates transmission; call after the pull source gains work.
   void kick();
 
-  /// Administratively disables the link (failure injection); queued and
-  /// in-flight packets are dropped, future packets are dropped on arrival.
-  /// Re-enabling takes effect immediately: the serializer is freed and any
-  /// stale completion event is neutralized, so a rapid down->up flap does
-  /// not leave the link wedged until the old event fires.
+  /// Administratively disables the link (failure injection): packets not yet
+  /// past their serializer end (ser_end > now) are dropped, packets already
+  /// on the wire still arrive, and future packets are dropped on arrival.
+  /// Re-enabling takes effect immediately: the wire is free at once and a
+  /// stale calendar event for a dropped packet is neutralized, so a rapid
+  /// down->up flap does not leave the link wedged.
   void set_down(bool down);
   [[nodiscard]] bool down() const { return down_; }
 
@@ -94,27 +93,24 @@ class Link {
 
   /// Wire-loss fault hook (fault injection): consulted when a packet finishes
   /// serializing; returning true discards it instead of delivering (the
-  /// packet still consumed link time, like corruption on the wire).  A
-  /// filtered link uses the two-event serializer: the filter's RNG draws must
-  /// happen at wire-exit time in event order.  Packets already committed to
-  /// the fused pipe move over to it (leave_pipeline).
+  /// packet still consumed link time, like corruption on the wire).  The
+  /// draw happens in the packet's wire-exit event, so draws follow event
+  /// order.
   void set_fault_filter(FaultFilter filter) {
-    leave_pipeline();
+    enable_wire_exit();
     fault_filter_ = std::move(filter);
   }
   [[nodiscard]] std::int64_t fault_drops() const { return fault_drops_; }
 
-  /// Pins this link to the two-event serializer.  The fault plane pins
-  /// every link it will flap: a fused *cut* link posts its cross-shard
-  /// crossing at commit time, which cannot be recalled by a later
-  /// set_down — and the pin must be partition-invariant (the fault schedule
-  /// is), so event counts stay byte-identical across shard counts.  Safe
-  /// mid-run: packets already committed to the fused pipe move over to the
-  /// two-event serializer (leave_pipeline).
-  void pin_legacy() {
-    leave_pipeline();
-    pinned_legacy_ = true;
-  }
+  /// Gives every packet a wire-exit event at (ser_end, its key) that hands it
+  /// to its delivery, which keeps its key and time.  The fault plane sets it
+  /// on every link it will flap: a cut link then posts its crossing at wire
+  /// exit instead of at commit, so set_down can still drop it.  Set on every
+  /// partition alike (the flap schedule is partition-invariant), event counts
+  /// stay identical across shard counts.  Safe mid-run from the link's own
+  /// shard: packets already on the wire become their delivery events; a cut
+  /// link must have nothing left to serialize.
+  void enable_wire_exit();
 
   // --- telemetry / observability ---
   [[nodiscard]] LinkId id() const { return id_; }
@@ -126,12 +122,12 @@ class Link {
   [[nodiscard]] TimeNs prop_delay() const { return cfg_.prop_delay; }
   [[nodiscard]] std::int64_t queue_limit_bytes() const { return cfg_.queue_limit_bytes; }
   [[nodiscard]] std::int64_t queue_bytes() const {
-    advance();
+    settle();
     return queue_bytes_;
   }
   [[nodiscard]] std::int64_t max_queue_bytes() const { return max_queue_bytes_; }
   [[nodiscard]] std::int64_t tx_bytes_cum() const {
-    advance();
+    settle();
     return tx_bytes_cum_;
   }
   [[nodiscard]] std::int64_t drops() const { return drops_; }
@@ -141,12 +137,12 @@ class Link {
   [[nodiscard]] Bandwidth tx_rate(TimeNs window = TimeNs{10'000}) const;
 
   void reset_max_queue() {
-    advance();
+    settle();
     max_queue_bytes_ = queue_bytes_;
   }
 
-  /// In-flight packets on the fused pipeline (0 on the two-event path) — the
-  /// calendar holds at most one event for all of them (tests).
+  /// Packets the pipe holds (tests): committed and not yet delivered — or,
+  /// with wire-exit events, not yet past their wire exit.
   [[nodiscard]] std::size_t pipe_depth() const { return pipe_.size(); }
 
   /// Attaches the observability context (null detaches). Passive: recording
@@ -157,7 +153,7 @@ class Link {
   /// `shard`'s mailbox instead of scheduled locally (sharded engine only;
   /// -1 restores local delivery).  Set by Fabric::configure_sharding.
   void set_cross_shard_dst(int shard) {
-    UFAB_CHECK_MSG(pipe_.empty(), "set_cross_shard_dst on a link with fused traffic");
+    UFAB_CHECK_MSG(pipe_.empty(), "set_cross_shard_dst on a link with traffic");
     cross_shard_dst_ = shard;
   }
   [[nodiscard]] int cross_shard_dst() const { return cross_shard_dst_; }
@@ -165,52 +161,47 @@ class Link {
  private:
   friend struct FusedLinkDeliver;
 
-  /// One in-flight packet on the fused pipeline.  `ser_end` plus the raw
-  /// (h, k) key name the *virtual* serializer-end event this entry replaces;
-  /// `in_queue` tracks whether the packet still counts toward queue_bytes_
-  /// (cleared when its predecessor finishes serializing, exactly when legacy
-  /// start_next would have popped it).  `pkt` is null on cut links — the
-  /// packet traveled with the eagerly posted crossing.
+  /// One committed packet.  Its serialization ends at `ser_end` (it started
+  /// tx_time(bytes) earlier); (h, k) is the child key of the event that
+  /// committed it, which its delivery carries.  `pkt` is null once a cut
+  /// link posted it with its crossing.
   struct PipeEntry {
     PacketPtr pkt;
-    std::int32_t bytes = 0;
-    bool in_queue = false;
     TimeNs ser_end = TimeNs::zero();
     std::uint64_t h = 0;
     std::uint32_t k = 0;
+    std::int32_t bytes = 0;
+#ifndef NDEBUG
+    TimeNs commit = TimeNs::zero();  ///< Commit time, for check_pipe_order.
+#endif
   };
 
-  [[nodiscard]] bool use_fused() const {
-    return !pinned_legacy_ && !source_ && !fault_filter_ && cfg_.prop_delay.ns() > 0;
-  }
+  /// Cut links without wire-exit events post each crossing at commit.
+  [[nodiscard]] bool posts_at_commit() const { return cross_shard_dst_ >= 0 && !wire_exit_; }
+  /// The link's own shard clock, which settles the pipe whichever shard reads.
+  [[nodiscard]] TimeNs clock() const { return home_ != nullptr ? sim_.now_of(home_) : sim_.now(); }
 
-  /// Tail-drop / ECN admission against the current queue_bytes_; shared by
-  /// both serializers so the formulas can never drift apart.  Returns
+  /// Tail-drop / ECN admission against the current queue_bytes_.  Returns
   /// false when the packet was dropped.
   bool admit(Packet& pkt);
-  void enqueue_fused(PacketPtr pkt);
-  /// Replays every virtual serializer-end milestone the legacy engine would
-  /// already have run, in order, each at its own timestamp.  Lazy and
-  /// idempotent; called before every read or commit of serializer state.
-  void advance() const;
-  /// Schedules the resident head-departure event for pipe_.front().
-  void arm_head();
-  void fire_head(std::uint64_t epoch);
-  /// Hands fused traffic to the two-event serializer before the link stops
-  /// fusing: entries past their serializer-end stay in the pipe (the head
-  /// event still delivers them), the entry being serialized becomes
-  /// in_flight_ with its finish event at its own ser_end and key, and the
-  /// rest of the pipe becomes queue_.  A cut link must have nothing left to
-  /// serialize (its crossings were posted at commit time), and the call must
-  /// come from the link's own shard.
-  void leave_pipeline();
-  void check_pipe_order() const;  ///< Debug-only FIFO invariant sweep.
-
-  /// Cumulative TX bytes plus a rate checkpoint (trimmed to the rate window)
-  /// for a packet leaving the serializer at `at`; both serializers use it.
-  void note_departure(TimeNs at, std::int32_t bytes) const;
-  void start_next();
-  void finish_transmit(std::int32_t bytes, std::uint64_t epoch);
+  /// Commits `pkt` to the pipe at now (state settled); see the file comment.
+  void commit(PacketPtr pkt);
+  /// Asks the pull source for the next packet; the wire is idle.
+  void pull();
+  /// Accounts every entry whose serialization ended by the link's clock:
+  /// cumulative TX bytes, a rate checkpoint at its ser_end, and its
+  /// successor leaving the queue.  Lazy and idempotent; called before every
+  /// read or commit of serializer state.
+  void settle() const;
+  /// Schedules the link's one resident event for pipe_.front(): its wire
+  /// exit, or — without wire-exit events — its delivery.
+  void arm_front();
+  /// Runs that event: retires the front and hands its packet on.
+  void fire_front(std::uint64_t epoch);
+  /// Hands a packet that left the wire to its delivery at (ser_end + prop,
+  /// key): a crossing on a cut link, a DeliverEvent otherwise.
+  void deliver(PipeEntry e);
+  void check_pipe_order() const;  ///< Debug-only pipe contract sweep.
   void record_drop(const Packet& pkt, obs::DropReason reason);
 
   Simulator& sim_;
@@ -219,25 +210,19 @@ class Link {
   Node* dst_;
   LinkConfig cfg_;
 
-  RingDeque<PacketPtr> queue_;
-  /// Fused pipeline of in-flight packets, in serialization order; the first
-  /// `mat_` entries' serializer-end milestones have been replayed.  Mutable
-  /// (with the bookkeeping below) because replay happens lazily from const
-  /// telemetry reads.
+  /// Committed packets in serialization order; the first `settled_` entries
+  /// are past their ser_end and accounted.  Mutable (with the bookkeeping
+  /// below) because settling happens lazily from const telemetry reads.
   mutable RingDeque<PipeEntry> pipe_;
-  mutable std::size_t mat_ = 0;
+  mutable std::size_t settled_ = 0;
   mutable std::int64_t queue_bytes_ = 0;
   std::int64_t max_queue_bytes_ = 0;
-  bool busy_ = false;
   bool down_ = false;
-  bool pinned_legacy_ = false;
-  PacketPtr in_flight_;  // the packet currently being serialized (two-event path)
-  /// Bumped when an in-flight serialization is aborted (set_down) or handed
-  /// over (leave_pipeline); the completion event — serializer-end or fused
-  /// head departure — compares its captured epoch and becomes a no-op.
+  bool wire_exit_ = false;  ///< Wire-exit events on (enable_wire_exit).
+  /// Bumped when set_down drops the entry the resident front event points
+  /// at; that event compares its captured epoch and becomes a no-op.
   std::uint64_t epoch_ = 0;
-  /// The shard whose execution frontier decides which virtual milestones
-  /// have fired; captured at the first fused commit.
+  /// The shard whose clock settles the pipe; captured at the first commit.
   Simulator::ShardHandle home_ = nullptr;
   PullSource source_;
   FaultFilter fault_filter_;

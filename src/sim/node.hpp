@@ -42,13 +42,13 @@ struct DeliverEvent {
 
 class Link;
 
-/// The fused-pipeline head event: the only calendar entry a busy fused link
+/// The link pipe's head delivery: the only calendar entry a busy push link
 /// keeps resident.  Fires the pipe head's arrival at the peer and re-arms
-/// itself for the next in-flight packet (src/sim/link.cpp).  The packet stays
-/// owned by the link's pipe — not by this event — so an abort (set_down)
-/// destroys dropped packets at legacy-identical times; `epoch` neutralizes a
-/// stale head event after such an abort, exactly like the legacy serializer.
-/// Lives here so the engine profiler can classify it as a delivery dispatch.
+/// itself for the next committed packet (src/sim/link.cpp).  The packet stays
+/// owned by the link's pipe — not by this event — so set_down can still drop
+/// packets that have not left the serializer; `epoch` neutralizes a head
+/// event whose packet set_down dropped.  Lives here so the engine profiler
+/// can classify it as a delivery dispatch.
 struct FusedLinkDeliver {
   Link* link;
   std::uint64_t epoch;

@@ -300,7 +300,6 @@ void Simulator::windowed_shard_pass(Shard& s) {
 void Simulator::run_window(Shard& s, TimeNs boundary) {
   shard_pass(s, boundary, false);
   if (boundary > s.now) s.now = boundary;
-  s.now_inclusive = false;
   flush_outgoing(s.index);
 }
 
@@ -315,6 +314,7 @@ void Simulator::run_window(Shard& s, TimeNs boundary) {
   obs::ProfSlice* const sl = prof_slice(s.index);
   obs::ProfSlice* const prev_tls = obs::tls_prof_slice;
   if (sl != nullptr && prof_->detailed()) obs::tls_prof_slice = sl;
+  const std::uint64_t ran_before = s.processed;
   while (true) {
     const Event* ev = peek(s);
     if (ev == nullptr || ev->at > last) break;
@@ -324,6 +324,7 @@ void Simulator::run_window(Shard& s, TimeNs boundary) {
       pop_and_run(s);
     }
   }
+  if (s.processed != ran_before) s.last_event = s.now;
   obs::tls_prof_slice = prev_tls;
 }
 
@@ -407,10 +408,7 @@ void Simulator::run_to(TimeNs t) {
   if (shards_.size() == 1) {
     Shard& s = *shards_.front();
     shard_pass(s, t, true);
-    if (t != TimeNs::max()) {
-      if (t > s.now) s.now = t;
-      s.now_inclusive = true;  // everything at or before t has run
-    }
+    if (t != TimeNs::max() && t > s.now) s.now = t;
   } else {
     run_until_sharded(t);
   }
@@ -431,14 +429,19 @@ TimeNs Simulator::earliest_pending() {
 
 /// Parks every clock at `t` (never backwards).  A drain's horizon
 /// (TimeNs::max()) parks nothing.
-void Simulator::set_clocks(TimeNs t, bool inclusive) {
+void Simulator::set_clocks(TimeNs t) {
   if (t == TimeNs::max()) return;
-  for (auto& s : shards_) {
-    if (t >= s->now) {
-      s->now = t;
-      s->now_inclusive = inclusive;
-    }
-  }
+  for (auto& s : shards_) s->now = std::max(s->now, t);
+}
+
+/// A drain's end: parks every clock at the latest event any shard ran (or
+/// at `floor`, the common clock the drain started from, if that is later) —
+/// what the plain engine's now() reads.  Window boundaries may have parked
+/// clocks past it; with nothing pending, moving them back is safe.
+void Simulator::park_at_last_event(TimeNs floor) {
+  TimeNs t = floor;
+  for (const auto& s : shards_) t = std::max(t, s->last_event);
+  for (auto& s : shards_) s->now = t;
 }
 
 /// The shard holding every pending event, or -1 when zero or several shards
@@ -501,7 +504,6 @@ bool Simulator::solo_run(int x, TimeNs limit) {
       // treatment of events at exactly t.
       shard_pass(s, limit, true);
       if (limit != TimeNs::max() && limit > s.now) s.now = limit;
-      s.now_inclusive = true;
       if (prof_ != nullptr) prof_->note_barrier_skip();
       progressed = true;
       break;
@@ -550,10 +552,12 @@ bool Simulator::inject_crossings(TimeNs le_mark) {
 }
 
 /// The one epoch loop: runs every event at or before `t` across all
-/// shards.  `t == TimeNs::max()` drains.
+/// shards.  `t == TimeNs::max()` drains.  Every run starts and ends with all
+/// clocks equal.
 void Simulator::run_until_sharded(TimeNs t) {
   ensure_exec_started();
   const ShardScope scope = scoped(0);
+  const TimeNs start = shards_.front()->now;
   while (true) {
     // Between passes every mailbox is drained; clocks may be staggered after
     // a solo round but never exceed the earliest pending event.
@@ -564,7 +568,7 @@ void Simulator::run_until_sharded(TimeNs t) {
     if (earliest == TimeNs::max() || earliest > t) {
       // Nothing left at or before the horizon (events at exactly t
       // included); TimeNs::max() is nothing left at all, a drain's end.
-      set_clocks(t, true);
+      set_clocks(t);
       break;
     }
     if (const int x = single_active_shard(); x >= 0 && solo_run(x, t)) continue;
@@ -579,11 +583,8 @@ void Simulator::run_until_sharded(TimeNs t) {
       // drain's unbounded pass spans no finite epoch, so it notes none.
       if (prof_ != nullptr && t != TimeNs::max()) prof_->note_epoch((t - base).ns());
       run_pass(t, true);
-      set_clocks(t, true);
+      set_clocks(t);
       while (inject_crossings(t)) run_pass(t, true);
-      // The injection passes popped events (clearing the inclusive marks);
-      // everything at or before t has now run on every shard.
-      set_clocks(t, true);
       note_injected_progress();
       break;
     }
@@ -599,9 +600,10 @@ void Simulator::run_until_sharded(TimeNs t) {
       prof_->note_windows(w);
     }
     run_pass_windowed(base, w);
-    set_clocks(base + TimeNs{w * la}, false);
+    set_clocks(base + TimeNs{w * la});
     note_injected_progress();
   }
+  if (t == TimeNs::max()) park_at_last_event(start);
 }
 
 void Simulator::enable_profiling(obs::ProfOptions opts) {

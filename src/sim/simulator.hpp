@@ -32,8 +32,8 @@
 //
 // Sharded execution (configure_shards(n > 1)) is conservative parallel DES:
 // shards advance through lookahead windows (the min propagation delay over
-// cut links) in lockstep.  Because a crossing materializes at wire-exit and
-// arrives one full propagation delay later, no crossing can land inside the
+// cut links) in lockstep.  Because a crossing arrives a full propagation
+// delay after the event that posts it, no crossing can land inside the
 // window that produced it, so a shard processing events strictly before a
 // window boundary never misses a remote event.  Cross-shard packets are
 // posted into per-(src,dst) SPSC mailboxes (batched publication, see
@@ -107,9 +107,8 @@ class Simulator {
   /// Schedules `fn` after `delay` from now.
   void after(TimeNs delay, UniqueFunction fn) { at(now() + delay, std::move(fn)); }
 
-  /// Runs until every event list (and outbox) drains.  No clock moves to a
-  /// horizon: each stays at its shard's last event, or at the last window
-  /// boundary a sharded run parked it at.
+  /// Runs until every event list (and outbox) drains, leaving now() at the
+  /// last event that ran — on every shard of a sharded engine alike.
   void run() { run_to(TimeNs::max()); }
 
   /// Runs all events with time <= `t`, then sets now to `t`.  `t ==
@@ -232,7 +231,7 @@ class Simulator {
     post_cross_keyed(dst_shard, at, dst, std::move(pkt), key.h, key.k);
   }
 
-  // --- explicit-key scheduling (the fused link pipeline, DESIGN.md §13) ---
+  // --- explicit-key scheduling (the link pipe, DESIGN.md §13.1) ---
 
   /// A raw (h, k) ordering key, before the event_identity finalizer.
   struct ChildKey {
@@ -241,10 +240,9 @@ class Simulator {
   };
 
   /// Consumes and returns the key the next at()/after() call from this
-  /// context would have stamped — without scheduling anything.  The fused
-  /// link pipeline reserves the slot the legacy serializer-end event would
-  /// have occupied, so every descendant keeps its byte-identical key even
-  /// though the event itself never enters the calendar.
+  /// context would have stamped — without scheduling anything.  A link
+  /// commits each packet under one such key; the packet's delivery (and its
+  /// wire-exit event, if any) carries it.
   [[nodiscard]] ChildKey alloc_child_key() {
     Shard& s = active();
     if (s.in_event) return ChildKey{s.cur_id, s.cur_k++};
@@ -252,62 +250,42 @@ class Simulator {
   }
 
   /// Schedules `fn` at `t` under an explicit raw key instead of one stamped
-  /// from the current context.  The fused pipeline reproduces legacy
-  /// delivery keys through this: the head departure is scheduled with
-  /// exactly the (h, k) the two-event chain would have used.
+  /// from the current context (a link's deliveries and wire exits).
   void at_keyed(TimeNs t, std::uint64_t h, std::uint32_t k, UniqueFunction fn) {
     Shard& s = active();
     UFAB_CHECK_MSG(t >= s.now, "scheduling into the past");
     push(s, t, h, k, std::move(fn));
   }
 
-  /// post_cross with an explicit key: the fused pipeline posts a cut-link
-  /// crossing eagerly at commit time (from the enqueuing event) carrying the
-  /// delivery key the legacy serializer-end event would have produced at wire
-  /// exit.  Safe for the conservative sync: `at` exceeds the posting time by
-  /// at least tx + prop >= lookahead, so the crossing still lands at or past
-  /// every boundary reachable from the posting window, and it is flushed and
-  /// drained at the first boundary after the post — earlier than legacy,
-  /// never later.  Must be called from inside a running event: a root-context
-  /// post would sit unflushed where earliest_pending()/solo decisions cannot
-  /// see it.
+  /// post_cross with an explicit key: a cut link posts each crossing under
+  /// its packet's commit key — at commit time, or from the packet's wire-exit
+  /// event.  Safe for the conservative sync: `at` exceeds the posting time by
+  /// at least prop >= lookahead, so the crossing still lands at or past every
+  /// boundary reachable from the posting window.  Must be called from inside
+  /// a running event: a root-context post would sit unflushed where
+  /// earliest_pending()/solo decisions cannot see it.
   void post_cross_keyed(int dst_shard, TimeNs at, Node* dst, PacketPtr pkt,
                         std::uint64_t h, std::uint32_t k) {
     UFAB_PROF_SCOPE(obs::ProfCat::kMailboxPost);
     Shard& s = active();
-    UFAB_CHECK_MSG(s.in_event, "eager crossing posted outside an event");
+    UFAB_CHECK_MSG(s.in_event, "crossing posted outside an event");
     UFAB_CHECK(dst_shard >= 0 && dst_shard < shard_count() && dst_shard != s.index);
     ++s.crossings_posted;
     cross_ch(s.index, dst_shard).post(Crossing{at, h, k, dst_shard, dst, std::move(pkt)});
   }
 
-  /// Opaque handle to the shard the calling context schedules onto.  The
-  /// fused pipeline captures it at first commit so later queries — possibly
-  /// made from another shard's context under sequential execution (soak's
-  /// queue sampler) — evaluate firedness against the link's own shard.
+  /// Opaque handle to the shard the calling context schedules onto.  A link
+  /// captures it at its first commit so later reads — possibly made from
+  /// another shard's context under sequential execution (soak's queue
+  /// sampler, fabric-wide callbacks) — settle it by its own shard's clock.
   using ShardHandle = const void*;
   [[nodiscard]] ShardHandle active_shard_handle() const { return &active(); }
-
-  /// Whether the legacy engine would already have run an event keyed
-  /// (t, h, k) on `handle`'s shard.  Monotone (once fired, always fired):
-  /// strictly-past times have run; at the current instant, mid-event the raw
-  /// key of the executing event is the frontier (the calendar pops in strict
-  /// (at, h, k) order and every key we ask about was scheduled strictly
-  /// before `t`, so pure key order applies), and between events it depends on
-  /// whether the shard stopped at an inclusive horizon or a strict window
-  /// boundary.
-  [[nodiscard]] bool key_fired(ShardHandle handle, TimeNs t, std::uint64_t h,
-                               std::uint32_t k) const {
-    const Shard& s = *static_cast<const Shard*>(handle);
-    if (t < s.now) return true;
-    if (t > s.now) return false;
-    if (s.in_event) return h < s.cur_raw_h || (h == s.cur_raw_h && k < s.cur_raw_k);
-    return s.now_inclusive;
+  /// The clock of `handle`'s shard.
+  [[nodiscard]] TimeNs now_of(ShardHandle handle) const {
+    return static_cast<const Shard*>(handle)->now;
   }
 
-  /// Always true: every eligible push link runs the fused pipeline (one
-  /// resident calendar event per busy link, DESIGN.md §13); which links are
-  /// eligible depends only on the link itself (Link::use_fused).
+  /// Always true: every link runs the one pipe serializer (DESIGN.md §13.1).
   [[nodiscard]] bool fused_links() const { return true; }
 
   // --- per-shard introspection (obs gauges, tests; read between runs) ---
@@ -469,17 +447,14 @@ class Simulator {
     bool peeked_overflow = false;  ///< Tier of the last peek() result.
     Bucket overflow;
 
+    /// Time of the last event this shard ran (clocks park past it at window
+    /// boundaries; a drain parks every clock at the latest one).
+    TimeNs last_event = TimeNs::zero();
+
     // Scheduling context (the currently executing event).
     std::uint64_t cur_id = 0;
     std::uint32_t cur_k = 0;
     bool in_event = false;
-    // Raw (h, k) key of the executing event — the key_fired() frontier.
-    std::uint64_t cur_raw_h = 0;
-    std::uint32_t cur_raw_k = 0;
-    /// Whether events at exactly `now` are guaranteed processed: true after
-    /// an inclusive horizon (run_until's t), false while parked at a strict
-    /// window boundary (events at the boundary run in the next window).
-    bool now_inclusive = true;
 
     // Cross-shard machinery (the mailboxes themselves are per-(src,dst)
     // simulator members; see cross_ch_/ret_ch_).
@@ -686,9 +661,6 @@ class Simulator {
   static void run_event(Shard& s, Event& ev) {
     s.cur_id = event_identity(ev.h, ev.k);
     s.cur_k = 0;
-    s.cur_raw_h = ev.h;
-    s.cur_raw_k = ev.k;
-    s.now_inclusive = false;  // same-instant events may still be pending
     s.in_event = true;
     ev.fn();
     s.in_event = false;
@@ -767,7 +739,8 @@ class Simulator {
   void reset_channels();
   void note_injected_progress();
   [[nodiscard]] TimeNs earliest_pending();
-  void set_clocks(TimeNs t, bool inclusive);
+  void set_clocks(TimeNs t);
+  void park_at_last_event(TimeNs floor);
   [[nodiscard]] bool inject_crossings(TimeNs le_mark);
   void worker_main(int shard_index);
   static void foreign_release_sink(void* ctx, PacketPool* owner, Packet* p);

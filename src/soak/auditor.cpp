@@ -41,7 +41,7 @@ void InvariantAuditor::checkpoint() {
     }
   }
   const std::size_t in_flight = packets_in_flight();
-  peak_in_flight_ = std::max(peak_in_flight_, in_flight);
+  peak_inflight_ = std::max(peak_inflight_, in_flight);
   if (in_flight > limits_.max_packets_in_flight) {
     std::snprintf(buf, sizeof(buf), "%zu packets in flight exceeds cap %zu", in_flight,
                   limits_.max_packets_in_flight);

@@ -66,7 +66,7 @@ class InvariantAuditor {
   [[nodiscard]] std::size_t checkpoints() const { return checkpoints_; }
 
   // --- peaks, for memory-bound assertions ---
-  [[nodiscard]] std::size_t peak_packets_in_flight() const { return peak_in_flight_; }
+  [[nodiscard]] std::size_t peak_packets_in_flight() const { return peak_inflight_; }
   [[nodiscard]] std::size_t peak_pending_events() const { return peak_pending_; }
 
  private:
@@ -77,7 +77,7 @@ class InvariantAuditor {
   std::vector<Violation> violations_;
   std::size_t violation_count_ = 0;
   std::size_t checkpoints_ = 0;
-  std::size_t peak_in_flight_ = 0;
+  std::size_t peak_inflight_ = 0;
   std::size_t peak_pending_ = 0;
 };
 

@@ -4,6 +4,7 @@
 // epochs execute sequentially or on worker threads.  This is the regression
 // gate for the conservative-lookahead parallel engine (DESIGN.md §9).
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,11 +62,13 @@ class EnvGuard {
   std::optional<std::string> saved_;
 };
 
-/// `pin_links` pins every link to the two-event serializer before traffic —
-/// the reference the fused pipelines must reproduce.  `windows` > 0 sets the
+/// `pin_links` gives every link wire-exit events before traffic — the
+/// reference the plain link pipe must reproduce.  `windows` > 0 sets the
 /// lookahead windows per epoch barrier on the experiment's simulator.
+/// `before_traffic`, when set, runs on the fabric just before traffic starts.
 Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = false,
-                        int windows = 0) {
+                        int windows = 0,
+                        const std::function<void(harness::Fabric&)>& before_traffic = {}) {
   Experiment exp(
       scheme,
       [](sim::Simulator& s, const topo::FabricOptions& o) {
@@ -76,8 +79,9 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = fals
   auto& vms = fab.vms();
   if (windows > 0) fab.sim().set_epoch_windows(windows);
   if (pin_links) {
-    for (sim::Link* link : fab.net().links()) link->pin_legacy();
+    for (sim::Link* link : fab.net().links()) link->enable_wire_exit();
   }
+  if (before_traffic) before_traffic(fab);
 
   std::vector<VmPairId> pairs;
   Rng pair_rng = fab.rng().fork("pairs");
@@ -160,9 +164,9 @@ TEST(ShardedDeterminism, PlainEngineMatchesOneShard) {
 }
 
 TEST(ShardedDeterminism, FusedLinksMatchLegacySerializerBitForBit) {
-  // Every link pinned to the two-event serializer is the reference; with
-  // fused pipelines (the default) every observable statistic must survive
-  // byte for byte — only the event count may change, and it must shrink.
+  // Every link with wire-exit events is the reference; with plain links (the
+  // default) every observable statistic must survive byte for byte — only
+  // the event count may change, and it must shrink.
   auto run_fused = [](const char* shards, const char* exec, bool pinned) {
     return run_with_shards(shards, exec, Scheme::kUfab, 41, 0, pinned);
   };
@@ -175,11 +179,57 @@ TEST(ShardedDeterminism, FusedLinksMatchLegacySerializerBitForBit) {
   EXPECT_EQ(fused.drops, legacy.drops);
   EXPECT_LT(fused.events, legacy.events);  // the point of fusing
 
-  // The fused schedule is itself partition- and executor-invariant...
+  // The plain schedule is itself partition- and executor-invariant...
   EXPECT_EQ(fused, run_fused("4", "seq", false));
   EXPECT_EQ(fused, run_fused("4", "threads", false));
-  // ...and so is the pinned reference.
+  // ...and so is the wire-exit reference.
   EXPECT_EQ(legacy, run_fused("4", "threads", true));
+}
+
+/// A fabric-wide callback every 10 us that reads every link's queue depth,
+/// TX counter and rate estimate, or — `read == false` — reads nothing.
+struct LinkPoller {
+  harness::Fabric* fab;
+  bool read;
+  double sum = 0;
+  std::uint64_t crossings = 0;  ///< Cut-link crossings posted so far.
+  void tick() {
+    crossings = fab->sim().shard_crossings_out(0) + fab->sim().shard_crossings_out(1);
+    if (read) {
+      for (const sim::Link* l : fab->net().links()) {
+        sum += static_cast<double>(l->queue_bytes() + l->tx_bytes_cum()) +
+               l->tx_rate().bits_per_sec();
+      }
+    }
+    const TimeNs next = fab->sim().now() + TimeNs{10'000};
+    if (next <= kRun + kDrain) fab->schedule_global(next, [this] { tick(); });
+  }
+};
+
+TEST(ShardedDeterminism, CrossShardTelemetryReadsArePassive) {
+  // On 2 sequential shards the poller runs on shard 0 and reads links on
+  // shard 1 mid-window, while traffic crosses the cut pod-core links.  Links
+  // settle by their own shard's clock, so the reads change nothing: the run
+  // matches one whose callback reads nothing, event for event.
+  const auto run = [](bool read, LinkPoller* poller) {
+    poller->read = read;
+    EnvGuard g1("UFAB_SHARDS", "2");
+    EnvGuard g2("UFAB_SHARD_EXEC", "seq");
+    return run_tiny_fig17(Scheme::kUfab, 41, false, 0, [poller](harness::Fabric& f) {
+      EXPECT_EQ(f.sim().shard_count(), 2);
+      poller->fab = &f;
+      f.schedule_global(TimeNs{10'000}, [poller] { poller->tick(); });
+    });
+  };
+  LinkPoller silent_poller{nullptr, false};
+  LinkPoller read_poller{nullptr, true};
+  const Snapshot silent = run(false, &silent_poller);
+  const Snapshot read = run(true, &read_poller);
+  ASSERT_FALSE(silent.fct_us.empty());
+  EXPECT_GT(silent_poller.crossings, 0u);
+  EXPECT_EQ(silent_poller.sum, 0.0);
+  EXPECT_GT(read_poller.sum, 0.0);
+  EXPECT_EQ(read, silent);
 }
 
 TEST(ShardedDeterminism, HoldsAcrossSchemesAndSeeds) {

@@ -1,8 +1,9 @@
-// Fused link pipelines (DESIGN.md §13): one resident calendar event per busy
+// The link pipe (DESIGN.md §13.1): one resident calendar event per busy push
 // link, with delivery times, drop accounting, telemetry, and flap semantics
-// byte-identical to the two-event serializer.  Every push link fuses; the same
-// scenarios are replayed against a pinned link (pin_legacy, the two-event
-// serializer the fault plane uses) to pin equivalence.
+// independent of the wire-exit option.  The same scenarios are replayed
+// against a link with wire-exit events (enable_wire_exit, the option the
+// fault plane sets on flapped links; "legacy" below) to show the option is
+// schedule-neutral.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,15 +37,15 @@ PacketPtr make_data(std::int32_t bytes) {
                       HostId{1}, bytes);
 }
 
-/// A serial simulator with one link, either fused or pinned to the two-event
-/// serializer before any traffic (the reference the fused path must match).
+/// A serial simulator with one link, either plain ("fused") or given
+/// wire-exit events before any traffic (the reference it must match).
 struct World {
   explicit World(bool fused, TimeNs prop = 1_us) : fused(fused), sink(sim) {
     set_link(LinkConfig{10_Gbps, prop, 1'000'000, -1, 0.95});
   }
   void set_link(LinkConfig cfg) {
     link = std::make_unique<Link>(sim, LinkId{0}, "l", &sink, cfg);
-    if (!fused) link->pin_legacy();
+    if (!fused) link->enable_wire_exit();
   }
   bool fused;
   Simulator sim;
@@ -79,8 +80,9 @@ TEST(FusedLink, MatchesLegacyDeliveryTimesAndCounters) {
 
 TEST(FusedLink, OneResidentCalendarEventPerBusyLink) {
   // Long propagation: all eight packets serialize before the first arrives,
-  // so the legacy engine holds one DeliverEvent per in-flight packet while
-  // the fused pipe holds them all behind a single head event.
+  // so with wire-exit events the calendar holds one DeliverEvent per packet
+  // on the wire while the plain pipe holds them all behind a single head
+  // event.
   World legacy(false, 100_us);
   World fused(true, 100_us);
   for (int i = 0; i < 8; ++i) {
@@ -211,34 +213,62 @@ TEST(FusedLink, FlapMidPipelineDropsOnlyUnserializedSuffix) {
   EXPECT_EQ(w.link->tx_bytes_cum(), 1500 + 1000);
 }
 
-TEST(FusedLink, LegacyOnlyModesStayOnLegacyPath) {
-  // Pull sources, fault filters, and pinned links must not enter the pipe.
-  World w(true);
-  int remaining = 2;
-  w.link->set_source([&]() -> PacketPtr {
+TEST(FusedLink, WireExitLinksUseThePipeAtTwoEventsPerHop) {
+  // Pull sources, fault filters and flap-marked links commit to the same
+  // pipe as a plain push link; their wire-exit event is the one extra event
+  // per hop.  Long propagation keeps every packet in the pipe until it has
+  // serialized, so the pipe depth shows what each link committed.
+  constexpr std::uint64_t kPackets = 4;
+  World plain(true, 100_us);
+  for (std::uint64_t i = 0; i < kPackets; ++i) plain.link->enqueue(make_data(1000));
+  EXPECT_EQ(plain.link->pipe_depth(), kPackets);
+  plain.sim.run();
+  EXPECT_EQ(plain.sink.arrivals.size(), kPackets);
+  EXPECT_EQ(plain.sim.events_processed(), kPackets);
+
+  World pulled(true, 100_us);
+  std::uint64_t remaining = kPackets;
+  pulled.link->set_source([&]() -> PacketPtr {
     if (remaining == 0) return nullptr;
     --remaining;
     return make_data(1000);
   });
-  w.link->kick();
-  w.sim.run();
-  EXPECT_EQ(w.sink.arrivals.size(), 2u);
-  EXPECT_EQ(w.link->pipe_depth(), 0u);
+  pulled.link->kick();
+  EXPECT_EQ(pulled.link->pipe_depth(), 1u);  // one pull per idle wire
+  pulled.sim.run_until(TimeNs{1000});        // mid-way through the second packet
+  EXPECT_EQ(pulled.link->pipe_depth(), 1u);
+  EXPECT_EQ(pulled.link->tx_bytes_cum(), 1000);
+  pulled.sim.run();
+  EXPECT_EQ(pulled.sink.arrivals.size(), kPackets);
+  EXPECT_EQ(pulled.sim.events_processed(), 2 * kPackets);
 
-  World pinned(true);
-  pinned.link->pin_legacy();
-  pinned.link->enqueue(make_data(1500));
-  pinned.sim.run();
-  EXPECT_EQ(pinned.sink.arrivals.size(), 1u);
-  EXPECT_EQ(pinned.link->pipe_depth(), 0u);
-
-  World filtered(true);
-  filtered.link->set_fault_filter([](const Packet&) { return true; });
-  filtered.link->enqueue(make_data(1500));
+  World filtered(true, 100_us);
+  bool drop_next = false;
+  filtered.link->set_fault_filter([&drop_next](const Packet&) { return drop_next; });
+  for (std::uint64_t i = 0; i < kPackets; ++i) filtered.link->enqueue(make_data(1000));
+  EXPECT_EQ(filtered.link->pipe_depth(), kPackets);
   filtered.sim.run();
-  EXPECT_EQ(filtered.sink.arrivals.size(), 0u);
+  EXPECT_EQ(filtered.sink.arrivals.size(), kPackets);
+  EXPECT_EQ(filtered.link->fault_drops(), 0);
+  EXPECT_EQ(filtered.sim.events_processed(), 2 * kPackets);
+  // A packet lost on the wire costs its wire-exit event only.
+  drop_next = true;
+  filtered.link->enqueue(make_data(1000));
+  filtered.sim.run();
   EXPECT_EQ(filtered.link->fault_drops(), 1);
-  EXPECT_EQ(filtered.link->pipe_depth(), 0u);
+  EXPECT_EQ(filtered.sim.events_processed(), 2 * kPackets + 1);
+
+  World flap_marked(true, 100_us);
+  flap_marked.link->enable_wire_exit();
+  for (std::uint64_t i = 0; i < kPackets; ++i) flap_marked.link->enqueue(make_data(1000));
+  EXPECT_EQ(flap_marked.link->pipe_depth(), kPackets);
+  flap_marked.sim.run();
+  EXPECT_EQ(flap_marked.sink.arrivals.size(), kPackets);
+  EXPECT_EQ(flap_marked.sim.events_processed(), 2 * kPackets);
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    EXPECT_EQ(flap_marked.sink.arrivals[i].first, plain.sink.arrivals[i].first) << "packet " << i;
+    EXPECT_EQ(filtered.sink.arrivals[i].first, plain.sink.arrivals[i].first) << "packet " << i;
+  }
 }
 
 TEST(FusedLink, DefaultSimulatorFusesOneEventPerHop) {
@@ -258,6 +288,45 @@ TEST(FusedLink, DefaultSimulatorFusesOneEventPerHop) {
   EXPECT_EQ(link.pipe_depth(), 0u);
 }
 
+TEST(FusedLink, ForeignReadsSettleByTheLinksOwnShardClock) {
+  // Two sequential shards, 10 us windows: shard 0 runs each window before
+  // shard 1.  A cut link homed on shard 1 takes a burst at 9 us (ser-ends
+  // 10.2 .. 16.2 us) and one more packet at 15 us, which must queue behind
+  // it.  A read from shard 0 at 17 us runs while shard 1's clock still stands
+  // at 10 us: settling by the reader's clock would retire the whole burst and
+  // let the late packet start at once.
+  const auto run = [](bool read) {
+    Simulator sim;
+    sim.configure_shards(2, 10_us, ShardExec::kSequential);
+    SinkNode sink(sim);
+    Link link(sim, LinkId{0}, "l", &sink, LinkConfig{10_Gbps, 10_us, 1'000'000, -1, 0.95});
+    link.set_cross_shard_dst(0);
+    sim.at(TimeNs::zero(), [] {});  // anchors the window ladder at 0
+    if (read) {
+      sim.at(17_us, [&link] {
+        EXPECT_EQ(link.tx_bytes_cum(), 0);
+        EXPECT_EQ(link.queue_bytes(), 5 * 1500);
+        EXPECT_EQ(link.tx_rate().bits_per_sec(), 0.0);
+      });
+    }
+    {
+      const auto scope = sim.scoped(1);
+      sim.at(9_us, [&link] {
+        for (int i = 0; i < 6; ++i) link.enqueue(make_data(1500));
+      });
+      sim.at(15_us, [&link] { link.enqueue(make_data(1500)); });
+    }
+    sim.run();
+    std::vector<TimeNs> arrivals;
+    for (const auto& [at, pkt] : sink.arrivals) arrivals.push_back(at);
+    return arrivals;
+  };
+  const std::vector<TimeNs> quiet = run(false);
+  ASSERT_EQ(quiet.size(), 7u);
+  EXPECT_EQ(quiet.back(), TimeNs{27'400});  // behind the burst: 16.2 + 1.2 + 10 us
+  EXPECT_EQ(run(true), quiet);
+}
+
 /// What a link exposes over one scripted run: arrivals plus telemetry
 /// sampled at fixed instants.
 struct PinTrace {
@@ -271,12 +340,12 @@ struct PinTrace {
 /// Five MTUs admitted at t=0 into a 6 KB queue (a sixth tail-drops; ser-ends
 /// 1.2 .. 6.0 us on a 10 us link), a second burst at 3 us that partly
 /// tail-drops, and optionally an outage over [4, 4.5) us followed by one more
-/// packet.  The link is pinned before any traffic (`pin_at` < 0) or at
-/// `pin_at`, with whatever the fused pipe holds at that moment.
+/// packet.  The link gets wire-exit events before any traffic (`pin_at` < 0)
+/// or at `pin_at`, with whatever the pipe holds at that moment.
 PinTrace pin_scenario(TimeNs pin_at, bool flap) {
   World w(true);
   w.set_link(LinkConfig{10_Gbps, 10_us, 6000, -1, 0.95});
-  if (pin_at < TimeNs::zero()) w.link->pin_legacy();
+  if (pin_at < TimeNs::zero()) w.link->enable_wire_exit();
   PinTrace out;
   const auto sample = [&](TimeNs at) {
     w.sim.run_until(at);
@@ -286,8 +355,11 @@ PinTrace pin_scenario(TimeNs pin_at, bool flap) {
   for (int i = 0; i < 6; ++i) w.link->enqueue(make_data(1500));
   if (pin_at >= TimeNs::zero()) {
     w.sim.run_until(pin_at);
-    w.link->pin_legacy();
-    EXPECT_EQ(w.link->pipe_depth() == 0, pin_at < TimeNs{1200});
+    w.link->enable_wire_exit();
+    // Packets past their serializer end become delivery events; the pipe
+    // keeps the ones still serializing or queued (all five at 600 ns, three
+    // at 3 us).
+    EXPECT_EQ(w.link->pipe_depth(), pin_at < TimeNs{1200} ? 5u : 3u);
   }
   sample(TimeNs{3000});
   for (int i = 0; i < 5; ++i) w.link->enqueue(make_data(1500));
@@ -308,12 +380,12 @@ PinTrace pin_scenario(TimeNs pin_at, bool flap) {
 }
 
 TEST(FusedLink, PinMidPipelineMatchesPinBeforeTraffic) {
-  // Pinning a link with fused traffic (the fault plane arming mid-run) hands
-  // the pipe to the two-event serializer: packets on the wire still arrive,
-  // the one being serialized finishes at its own time, and the rest queue.
-  // Pinned at 600 ns the head itself is mid-serialization; at 3 us two
-  // packets propagate, one serializes and two wait.  The outage variant
-  // aborts the handed-over serialization while packets are still on the wire.
+  // Enabling wire-exit events on a link with traffic (the fault plane arming
+  // mid-run): packets on the wire still arrive, the one being serialized
+  // exits at its own time, and the rest keep their places.  At 600 ns the
+  // head itself is mid-serialization; at 3 us two packets propagate, one
+  // serializes and two wait.  The outage variant drops the serializing and
+  // queued packets while packets are still on the wire.
   for (const bool flap : {false, true}) {
     const PinTrace ref = pin_scenario(TimeNs{-1}, flap);
     ASSERT_EQ(ref.arrivals.size(), flap ? 4u : 7u) << "flap=" << flap;

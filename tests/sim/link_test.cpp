@@ -157,12 +157,10 @@ TEST(Link, FailureDropsEverything) {
 }
 
 TEST(Link, ReentrantEnqueueFromPullSourceIsNotLost) {
-  // Regression: start_next() used to claim the serializer only *after* the
-  // pull source returned.  A source callback that re-entered enqueue() (the
-  // transport's probe cadence fires while the NIC pulls the next data packet)
-  // saw busy_ == false, ran a nested start_next() that put the control packet
-  // in flight, and then the outer start_next() overwrote in_flight_ with the
-  // pulled data packet — silently destroying the control packet.
+  // Regression: a source callback that re-enters enqueue() (the transport's
+  // probe cadence fires while the NIC pulls the next data packet) once had
+  // its control packet put in flight by a nested dequeue and then silently
+  // overwritten by the pulled data packet.  Both must reach the wire.
   Simulator sim;
   SinkNode sink(sim);
   Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95});
@@ -191,9 +189,9 @@ TEST(Link, ReentrantEnqueueFromPullSourceIsNotLost) {
 }
 
 TEST(Link, RapidFlapDoesNotWedgeSerializer) {
-  // Regression: set_down(true) used to leave busy_ set while dropping the
-  // in-flight packet, so kick() after an immediate re-enable was a no-op
-  // until the stale serializer event fired — a wedge window as long as the
+  // Regression: set_down(true) once dropped the packet being serialized but
+  // left the wire marked busy, so traffic after an immediate re-enable
+  // waited for the stale serializer event — a wedge window as long as the
   // aborted packet's remaining serialization time.
   Simulator sim;
   SinkNode sink(sim);

@@ -255,9 +255,9 @@ TEST(ShardedEngine, AdaptiveEpochsAmortizeBarriers) {
 
 TEST(ShardedEngine, DrainMatchesSerialRun) {
   // run() on a cut-link engine fires the serial run's schedule on either
-  // executor.  A serial drain leaves now() at the last event; a sharded one
-  // leaves every clock finite — at or past its shard's last event, since
-  // window boundaries park clocks — and never at TimeNs::max().
+  // executor.  A serial drain leaves now() at the last event, and so does a
+  // sharded one on every shard, although window boundaries parked the clocks
+  // past it mid-run.
   const TwoShardRun serial =
       run_two_shard_workload(ShardExec::kSequential, 16, nullptr, /*shards=*/1, /*drain=*/true);
   ASSERT_GT(serial.chain_times[0].size(), 10u);
@@ -273,6 +273,7 @@ TEST(ShardedEngine, DrainMatchesSerialRun) {
       EXPECT_GT(run.crossings[s], 0u);
       EXPECT_NE(run.clock[s], TimeNs::max().ns()) << "shard " << s;
       EXPECT_GE(run.clock[s], last_event(run, s)) << "shard " << s;
+      EXPECT_EQ(run.clock[s], serial.final_now) << "shard " << s;
       if (exec == ShardExec::kSequential) {
         seq_clock[s] = run.clock[s];
       } else {
@@ -310,8 +311,9 @@ TEST(ShardedEngine, ProfiledDrainAttributesEveryEvent) {
 TEST(ShardedEngine, UncutDrainLeavesClocksAtLastEvents) {
   // No cut links (lookahead == TimeNs::max()): the shards are causally
   // independent.  A drain with work on one shard or on both runs every event,
-  // leaves each clock exactly at its shard's last event (an idle shard's at
-  // zero), and notes no epoch: an unbounded pass spans no finite epoch.
+  // leaves every clock — an idle shard's too — at the latest event any shard
+  // ran (the plain engine's now()), and notes no epoch: an unbounded pass
+  // spans no finite epoch.
   struct Tick {
     Simulator* sim;
     std::vector<std::int64_t>* fired;
@@ -340,8 +342,11 @@ TEST(ShardedEngine, UncutDrainLeavesClocksAtLastEvents) {
       EXPECT_EQ(sim.events_processed(), 20u * static_cast<std::uint64_t>(active));
       EXPECT_EQ(dispatch_count(sim), sim.events_processed());
       EXPECT_EQ(sim.profiler()->epochs(), 0u);
+      std::int64_t expected = 0;
+      for (const auto& f : fired) {
+        if (!f.empty()) expected = std::max(expected, f.back());
+      }
       for (int s = 0; s < 2; ++s) {
-        const std::int64_t expected = fired[s].empty() ? 0 : fired[s].back();
         const auto scope = sim.scoped(s);
         EXPECT_EQ(sim.now().ns(), expected) << "shard " << s << ", " << active << " active";
       }
