@@ -89,11 +89,9 @@ def report(path, doc):
           % (events_total,
              events_total / (wall_ns / 1e9) if wall_ns > 0 else 0.0,
              wall_ns / events_total if events_total > 0 else 0.0))
-    print("epochs=%d windows=%d barrier_skips=%d crossings_injected=%d "
-          "epoch_windows=%d"
+    print("epochs=%d windows=%d crossings_injected=%d epoch_windows=%d"
           % (epochs.get("count", 0), epochs.get("windows", 0),
-             epochs.get("barrier_skips", 0), epochs.get("crossings_injected", 0),
-             doc.get("epoch_windows", 1)))
+             epochs.get("crossings_injected", 0), doc.get("epoch_windows", 1)))
     handoff = doc.get("handoff", {})
     if handoff:
         print("handoff: max_drain_batch=%d mailbox_flushes=%d"
@@ -191,7 +189,6 @@ def main(argv):
             "threaded": doc.get("threaded", False),
             "epochs": epochs.get("count", 0),
             "windows": epochs.get("windows", 0),
-            "barrier_skips": epochs.get("barrier_skips", 0),
             "crossings_injected": epochs.get("crossings_injected", 0),
             "epoch_windows": doc.get("epoch_windows", 1),
             "handoff_max_batch": doc.get("handoff", {}).get("max_drain_batch", 0),

@@ -12,7 +12,9 @@
 #     (full lane only);
 #   * profiler overhead — BM_Fig17Slice with UFAB_PROF=0 vs =1, guarded:
 #     the lane FAILS if enabling the profiler costs more than
-#     UFAB_PROF_GUARD_PCT percent (default 5).
+#     UFAB_PROF_GUARD_PCT percent (default 5).  The benchmark times only the
+#     run phase (run_until), where all of the profiler's cost lands; setup
+#     and teardown run with timing paused.
 #
 # The full lane additionally records a shard-scaling grid (UFAB_SHARDS=2/4/8
 # single-round wall clocks on the k=8 cell) and a first fig17 k=16 row
@@ -89,8 +91,8 @@ for b in doc["benchmarks"]:
 ' "${GUARD_JSON}"
 }
 
-# Profiler overhead guard: interleaved min-of-3 of the end-to-end engine
-# slice, profiler off vs on.  Runs in smoke too — it is the cheapest place
+# Profiler overhead guard: interleaved min-of-3 of the engine slice's run
+# phase, profiler off vs on.  Runs in smoke too — it is the cheapest place
 # to catch an accidentally hot profiling path.
 guard_pct="${UFAB_PROF_GUARD_PCT:-5}"
 off_samples=""
@@ -360,7 +362,7 @@ doc = {
     },
     "micro": entries,
     "prof_overhead": {
-        "workload": "BM_Fig17Slice, UFAB_PROF=0 vs 1, interleaved min-of-3",
+        "workload": "BM_Fig17Slice run phase, UFAB_PROF=0 vs 1, interleaved min-of-3",
         "off_ms": float(off_ms),
         "on_ms": float(on_ms),
         "overhead_pct": float(overhead_pct),

@@ -15,10 +15,6 @@ Fabric::~Fabric() {
 void Fabric::configure_sharding(int shards, sim::ShardExec exec) {
   partition_ = topo::partition_network(*net_, shards);
   sim_.configure_shards(partition_.shards, partition_.lookahead, exec);
-  // Per-shard outgoing strides feed the engine's solo barrier-skip rounds:
-  // when one shard is the only one with pending work, it may run ahead by
-  // its own min outgoing cut-link prop, not the global minimum.
-  sim_.set_shard_lookaheads(partition_.shard_out_lookahead);
   // Cut links hand their deliveries to the peer shard's mailbox instead of
   // scheduling locally.
   for (const LinkId lid : partition_.cut_links) {
@@ -150,7 +146,6 @@ obs::Obs& Fabric::enable_observability(obs::ObsOptions opts) {
     reg.gauge("prof.stall_us_total", {})->set(d.stall_ns_total / 1e3);
     reg.gauge("prof.epochs", {})->set(static_cast<double>(p->epochs()));
     reg.gauge("prof.windows", {})->set(static_cast<double>(p->windows()));
-    reg.gauge("prof.barrier_skips", {})->set(static_cast<double>(p->barrier_skips()));
     reg.gauge("prof.crossings_injected", {})
         ->set(static_cast<double>(p->crossings_injected()));
     reg.gauge("prof.handoff_max_batch", {})

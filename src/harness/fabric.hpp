@@ -49,7 +49,9 @@ class Fabric {
   [[nodiscard]] const topo::Partition& partition() const { return partition_; }
 
   /// Schedules `fn` at `t` homed on `host`'s shard, so setup-time work lands
-  /// in the same calendar regardless of the shard count.
+  /// in the same calendar regardless of the shard count.  Call it from setup
+  /// code or from an event on `host`'s own shard; an event on another shard
+  /// fails loudly (Simulator::scoped).
   template <typename F>
   void schedule_on_host(HostId host, TimeNs t, F&& fn) {
     const auto scope = sim_.scoped(shard_of_host(host));
@@ -112,7 +114,10 @@ class Fabric {
   void install_tenant_metering(TimeNs bucket, std::size_t retain_buckets = 0);
   [[nodiscard]] RateMeter* tenant_meter(TenantId tenant);
 
-  /// Sends a message from a VM pair through the source host's stack.
+  /// Sends a message from a VM pair through the source host's stack, homed on
+  /// the source host's shard.  Call it from setup code or from an event on
+  /// that shard: an event on another shard fails loudly (Simulator::scoped),
+  /// because what the send schedules there would bypass the epoch protocol.
   std::uint64_t send(VmPairId pair, std::int64_t bytes, std::uint64_t user_tag = 0);
 
   /// Keeps `pair` saturated between [start, stop): every chunk drain time at

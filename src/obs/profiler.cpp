@@ -208,15 +208,13 @@ std::string Profiler::to_json(const ProfContext& ctx) const {
   append_f(out, "  \"wall_ns\": %.1f,\n", run_wall_ns());
   append_f(out,
            "  \"epochs\": {\"count\": %llu, \"sim_ns_total\": %lld, \"sim_ns_min\": %lld, "
-           "\"sim_ns_max\": %lld, \"crossings_injected\": %llu, \"windows\": %llu, "
-           "\"barrier_skips\": %llu},\n",
+           "\"sim_ns_max\": %lld, \"crossings_injected\": %llu, \"windows\": %llu},\n",
            static_cast<unsigned long long>(epochs_),
            static_cast<long long>(epoch_sim_ns_total_),
            static_cast<long long>(epochs_ == 0 ? 0 : epoch_sim_ns_min_),
            static_cast<long long>(epochs_ == 0 ? 0 : epoch_sim_ns_max_),
            static_cast<unsigned long long>(crossings_injected_),
-           static_cast<unsigned long long>(windows_),
-           static_cast<unsigned long long>(barrier_skips_));
+           static_cast<unsigned long long>(windows_));
   out += "  \"epoch_len_ns_log2\": [";
   for (int b = 0; b < kEpochLenBuckets; ++b) {
     append_f(out, "%s%llu", b == 0 ? "" : ",",

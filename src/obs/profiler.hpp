@@ -269,20 +269,17 @@ class Profiler {
 
   /// Epoch accounting (coordinator only, between passes).  One note_epoch
   /// per coordinator barrier, carrying the sim-time span the barrier paid
-  /// for — multi-window epochs report the whole span, which is exactly what
-  /// the epoch-length histogram is for.
+  /// for — a pass reports its whole rung ladder, which is exactly what the
+  /// epoch-length histogram is for.
   void note_epoch(std::int64_t epoch_sim_ns);
-  /// Lookahead windows resolved inside multi-window epochs (clock-spin
-  /// boundaries, no barrier).
+  /// Rungs (lookahead windows) walked inside a pass: spin-synchronized
+  /// ends, no barrier.
   void note_windows(int windows) { windows_ += static_cast<std::uint64_t>(windows); }
-  /// A solo round ran with no barrier and no clock publication at all.
-  void note_barrier_skip() { ++barrier_skips_; }
   void note_injected(std::uint64_t crossings);
   void add_run_wall(std::int64_t ticks) { run_wall_ticks_ += ticks; }
 
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
-  [[nodiscard]] std::uint64_t barrier_skips() const { return barrier_skips_; }
   [[nodiscard]] const std::array<std::uint64_t, kEpochLenBuckets>& epoch_len_hist() const {
     return epoch_len_hist_;
   }
@@ -336,7 +333,6 @@ class Profiler {
   std::int64_t epoch_sim_ns_min_ = 0;
   std::int64_t epoch_sim_ns_max_ = 0;
   std::uint64_t windows_ = 0;
-  std::uint64_t barrier_skips_ = 0;
   std::array<std::uint64_t, kEpochLenBuckets> epoch_len_hist_{};
   std::uint64_t crossings_injected_ = 0;
   std::int64_t run_wall_ticks_ = 0;

@@ -1,29 +1,29 @@
 // Synchronization primitives for the sharded engine.
 //
 // ShardMailbox is the cross-shard handoff channel: a single-producer /
-// single-consumer queue of fixed-size chunks with *batched* publication.  The
+// single-consumer ring of fixed-size chunks with *batched* publication.  The
 // writer (the source shard, during its pass) appends entries into chunk
 // arrays with plain stores and makes a whole batch visible with ONE
 // release-store of the published count (`flush()`); the reader (the
-// destination shard, at a window boundary) acquires that count once and
-// drains every published entry.  That amortizes the cross-core cache-line
+// destination shard, at a rung end) acquires that count once and drains
+// every published entry.  That amortizes the cross-core cache-line
 // traffic of the old per-entry vector to one line per 64 entries plus one
 // atomic per batch — the "cache-line-friendly chunks with a single size/flag
 // publish" design from DESIGN.md §12.  Between coordinator barriers the
-// usual quiesced-owner discipline applies, so the coordinator may also act
-// as reader or writer while workers are parked.
+// usual quiesced-owner discipline applies, so the coordinator may read the
+// stats while workers are parked.
 //
-// ShardClockSlot is the per-shard published simulation clock that lets
-// shards self-synchronize at window boundaries *inside* an epoch without a
-// condvar barrier: a shard flushes its mailboxes, release-publishes its
-// clock, then spin-waits (with yields) until every peer's clock reaches the
-// boundary.  Acquiring a peer's clock therefore also acquires everything the
-// peer flushed before publishing it — the message-passing pattern the
-// windowed pass relies on (DESIGN.md §12).
+// ShardClockSlot is the per-shard published progress that lets shards
+// self-synchronize at rung ends *inside* an epoch without a condvar barrier:
+// a shard flushes its mailboxes, release-publishes the number of rungs it
+// has completed, then spin-waits (with yields) until every peer reaches the
+// same rung.  Acquiring a peer's progress therefore also acquires
+// everything the peer flushed before publishing it — the message-passing
+// pattern the rung ladder relies on (DESIGN.md §12).
 //
-// EpochBarrier parks the worker threads between epochs (multi-window
-// passes): the coordinator publishes a pass generation, workers run their
-// shard's windows and report back, and the coordinator proceeds only when
+// EpochBarrier parks the worker threads between epochs (passes of up to 16
+// rungs): the coordinator publishes a pass generation, workers walk their
+// shard's ladder and report back, and the coordinator proceeds only when
 // every worker is done.  All three are benchmarked in
 // bench/micro_datastructures.cpp (BM_ShardMailbox, BM_MailboxBatch,
 // BM_EpochBarrier).
@@ -46,18 +46,18 @@ namespace ufab::sim {
 /// Roles (enforced by the engine's pass structure, not by the type):
 ///   * writer — post() any number of entries, then flush() once per batch;
 ///   * reader — drain() everything published so far;
-///   * coordinator (both sides quiesced at a barrier) — may call any method,
-///     including maybe_reset(), which rewinds the monotone positions so the
-///     chunk index never overflows on long runs.
+///   * coordinator (both sides quiesced at a barrier) — may read the stats.
 ///
-/// Entry positions grow monotonically; chunk `p / kChunkItems` holds
-/// position p.  Chunk storage is allocated on first touch and retained
-/// across resets, so steady-state epochs allocate nothing.
+/// Entry positions are 64-bit and grow monotonically (they never wrap);
+/// position p lives in slot (p / kChunkItems) % kMaxChunks of the chunk
+/// table, so the table is a ring and positions need no rewind.  Chunk
+/// storage is allocated on first touch and retained, so steady-state epochs
+/// allocate nothing.
 template <typename T>
 class ShardMailbox {
  public:
   static constexpr std::size_t kChunkItems = 64;   ///< One batch cache block.
-  static constexpr std::size_t kMaxChunks = 512;   ///< 32768 in-flight entries.
+  static constexpr std::size_t kMaxChunks = 256;   ///< 16384 in-flight entries.
 
   ShardMailbox() : chunks_(kMaxChunks, nullptr) {}
   ShardMailbox(const ShardMailbox&) = delete;
@@ -106,24 +106,6 @@ class ShardMailbox {
     return batch;
   }
 
-  // --- coordinator side (both roles quiesced) ---
-
-  /// True when every posted entry has been drained.  Only meaningful while
-  /// both sides are quiesced (between passes).
-  [[nodiscard]] bool quiesced_empty() const {
-    return head_.load(std::memory_order_relaxed) == tail_;
-  }
-
-  /// Rewinds the monotone positions once they near the chunk-index wrap, so
-  /// arbitrarily long runs never overflow.  Requires an empty channel.
-  void maybe_reset() {
-    if (tail_ < kChunkItems * (kMaxChunks / 2)) return;
-    UFAB_CHECK(head_.load(std::memory_order_relaxed) == tail_);
-    head_.store(0, std::memory_order_relaxed);
-    tail_ = 0;
-    published_.store(0, std::memory_order_relaxed);
-  }
-
   // --- stats (read quiesced) ---
   [[nodiscard]] std::uint64_t posted_total() const { return posted_; }
   /// Batches published (one release-store each).
@@ -164,17 +146,18 @@ class ShardMailbox {
   std::size_t max_batch_ = 0;
 };
 
-/// One shard's published simulation clock, cache-line isolated so the spin
-/// loops of the windowed pass never false-share.  Publishing with release
-/// after flushing mailboxes makes every pre-publish flush visible to any
-/// thread that acquires a clock value at or past the boundary.
+/// One shard's published progress through the rung ladder (rungs completed,
+/// monotone over the run), cache-line isolated so the spin loops never
+/// false-share.  Publishing with release after flushing mailboxes makes every
+/// pre-publish flush visible to any thread that acquires a value at or past
+/// the rung.
 struct alignas(64) ShardClockSlot {
   std::atomic<std::int64_t> ns{0};
 
   void publish(std::int64_t t) { ns.store(t, std::memory_order_release); }
   [[nodiscard]] std::int64_t read() const { return ns.load(std::memory_order_acquire); }
 
-  /// Spin-waits (pausing/yielding) until the clock reaches `target`.
+  /// Spin-waits (pausing/yielding) until the value reaches `target`.
   /// Returns the number of spin iterations (0 = peer was already there).
   std::uint64_t await(std::int64_t target) const {
     std::uint64_t spins = 0;

@@ -1,38 +1,31 @@
-// Execution for Simulator: the one run loop (shard_pass) and the sharded
-// (conservative parallel DES) epoch loop.  Serial runs, epoch windows,
-// solo rounds and final inclusive rounds all pop events through shard_pass.
-// The safety invariant is the same at every granularity: a crossing posted
-// at wire-exit time tau arrives at tau + prop >= tau + lookahead, which is
-// at or past the boundary of the lookahead window that produced it, so a
-// shard processing events strictly before a boundary can never miss a
-// remote event (DESIGN.md §9).
+// Execution for Simulator: the one run loop (shard_pass) and the one epoch
+// protocol of a sharded (conservative parallel DES) engine, the rung ladder.
 //
-// What §12 changed is how boundaries are *paid for*:
+// A sharded run_until(t) — run() is the horizon TimeNs::max() — is a
+// sequence of passes, one coordinator barrier each.  A pass starts at base =
+// the earliest pending event (never before the common clock) and walks up to
+// set_epoch_windows() rungs (16) of the lookahead L: rung i runs every event
+// at or before min(base + i*L - 1, t), parks the clock at base + i*L (at t
+// for the rung that reaches the horizon, nowhere for a drain's), flushes
+// the outgoing mailboxes (one release-store per non-empty channel),
+// publishes its progress, waits until every peer published the same rung,
+// and drains its incoming mailboxes.  A pass ends at its last rung or at
+// the one that reaches t; L = ∞ (no cut link) reaches t in one rung.
 //
-//  * A pass spans many windows per coordinator barrier
-//    (run_pass_windowed).  Inside the pass each shard walks the common
-//    boundary ladder b_1 < b_2 < ... on its own: run events < b_w, flush the
-//    outgoing mailboxes (one release-store per non-empty channel), publish
-//    its clock = b_w, spin until every peer's clock reached b_w, drain
-//    incoming mailboxes, continue.  Because a peer flushes *before*
-//    publishing, acquiring its clock at b_w also acquires every crossing it
-//    posted before b_w — and any such crossing delivers at or after b_w, so
-//    draining at b_w is always early enough.  One condvar barrier (~µs) per
-//    set_epoch_windows() windows (16) instead of one per window.
+// Safety is one argument at every rung (DESIGN.md §9): a crossing posted at
+// wire-exit time tau lands at tau + prop >= tau + L.  Rung i runs events at
+// or after base + (i-1)*L, so everything it posts lands at or past
+// base + i*L: after the rung's last instant, and after t for the rung that
+// reaches it.  Because a peer flushes *before* publishing, acquiring its
+// progress also acquires every crossing it posted, so a shard never runs
+// past a remote event, and once the horizon rung drains nothing at or
+// before t is left anywhere — every clock is equal between passes.
 //
-//  * When exactly one shard has pending events the coordinator skips the
-//    barrier machinery entirely (solo_run): it executes that shard inline
-//    with a stride of the shard's *outgoing* cut lookahead (no outgoing cut
-//    links: straight to the limit), routing any crossings itself, and falls
-//    back to synchronized epochs at the first boundary where a crossing
-//    woke a peer — before the woken shard executes anything, so nothing is
-//    ever missed.
-//
-//  * The final inclusive stretch before a horizon uses single-boundary
-//    coordinator rounds (run_pass(t, true) + inject_crossings loops): at the
-//    horizon the window ladder degenerates (events at exactly t can emit
-//    crossings at exactly t), and those rounds carry the termination
-//    argument.
+// Sequential execution walks the same ladder interleaved (every shard runs
+// a rung and flushes, then every shard drains); threaded execution walks it
+// on every shard at once.  The canonical (h, k) keys fix the pop order for
+// any safe ladder, so both executors and every ladder width fire the serial
+// engine's schedule.
 //
 // Cross-shard packets are handed over, not cloned: injection moves the
 // PacketPtr into the destination calendar with its origin pool unchanged,
@@ -195,7 +188,7 @@ void Simulator::worker_main(int shard_index) {
   std::uint64_t gen = 0;
   if (!barrier_->wait_for_pass(gen)) return;
   while (true) {
-    pass_side(s);
+    walk_ladder(s);
     const std::int64_t parked_at = steady_ns();
     const obs::ProfScope wait(sl, obs::ProfCat::kBarrierWait);
     barrier_->arrive_done();
@@ -206,87 +199,51 @@ void Simulator::worker_main(int shard_index) {
   }
 }
 
-/// One shard's side of the current pass: a worker thread's, or the
-/// coordinator's for shard 0.
-void Simulator::pass_side(Shard& s) {
-  if (pass_windows_ > 0) {
-    windowed_shard_pass(s);
-  } else {
-    shard_pass(s, pass_boundary_, pass_inclusive_);
-  }
-}
-
-/// Threaded pass: releases the workers, runs shard 0's side on the
+/// Runs the pass pass_base_/pass_horizon_/pass_rungs_ describe on every
+/// shard.  Threaded: releases the workers, walks shard 0's ladder on the
 /// coordinator (already scoped to shard 0 by the caller), then waits for
-/// every worker.  The coordinator's stall is the tail it spends waiting for
-/// the slowest worker — the direct read on "does sharding pay".
-void Simulator::threaded_pass() {
-  barrier_->release(++pass_gen_);
-  pass_side(*shards_.front());
-  const obs::ProfScope wait(prof_slice(0), obs::ProfCat::kBarrierWait);
-  barrier_->wait_all_done();
-}
-
-/// Runs one synchronized single-boundary pass on every shard.  Sequential
-/// mode: the coordinator runs each shard's pass in index order —
-/// byte-identical schedule, no concurrency.
-void Simulator::run_pass(TimeNs boundary, bool inclusive) {
-  pass_boundary_ = boundary;
-  pass_inclusive_ = inclusive;
-  pass_windows_ = 0;
+/// every worker — the coordinator's stall is the tail it spends waiting for
+/// the slowest one, the direct read on "does sharding pay".  Sequential: the
+/// coordinator walks the identical ladder in index order — for each rung,
+/// every shard runs and flushes, then every shard drains — the same
+/// flush-before-drain dataflow, hence the same schedule.
+void Simulator::run_pass() {
   if (exec_threads_) {
-    threaded_pass();
-    return;
-  }
-  for (auto& s : shards_) {
-    const ShardScope scope = scoped(s->index);
-    shard_pass(*s, boundary, inclusive);
-  }
-}
-
-/// Runs one multi-window pass: every shard walks `windows` boundaries of
-/// length lookahead_ starting at `base`, self-synchronizing at each through
-/// the published clocks — ONE coordinator barrier for the whole pass.
-/// Sequential mode replays the identical structure in index order: for each
-/// window, every shard runs to the boundary and flushes, then every shard
-/// drains — the same flush-before-drain dataflow, hence the same schedule.
-void Simulator::run_pass_windowed(TimeNs base, int windows) {
-  pass_base_ = base;
-  pass_windows_ = windows;
-  if (exec_threads_) {
-    threaded_pass();
+    barrier_->release(++pass_gen_);
+    walk_ladder(*shards_.front());
+    const obs::ProfScope wait(prof_slice(0), obs::ProfCat::kBarrierWait);
+    barrier_->wait_all_done();
   } else {
-    TimeNs b = base;
-    for (int w = 0; w < windows; ++w) {
-      b = b + lookahead_;
+    for (int i = 1; i <= pass_rungs_; ++i) {
       for (auto& s : shards_) {
         const ShardScope scope = scoped(s->index);
-        run_window(*s, b);
+        run_rung(*s, i);
       }
       const obs::ProfScope inject(prof_slice(0), obs::ProfCat::kMailboxInject);
       for (auto& s : shards_) drain_incoming(*s);
     }
   }
-  pass_windows_ = 0;
+  rungs_done_ += pass_rungs_;
 }
 
-/// One shard's side of a windowed pass (worker thread, or the coordinator
-/// for shard 0).  The boundary ladder is common to all shards, so publishing
-/// the clock after flushing makes "peer clock >= b" imply "peer's crossings
-/// relevant to my next window are visible" — the message-passing pattern the
-/// mailboxes' single release-store is designed around.
-void Simulator::windowed_shard_pass(Shard& s) {
+/// One shard's side of a threaded pass (worker thread, or the coordinator
+/// for shard 0).  The ladder is common to all shards, so publishing a rung
+/// after flushing makes "every peer published rung r" imply "every crossing
+/// a peer posted before it is visible" — the message-passing pattern the
+/// mailboxes' single release-store is designed around.  Progress is a rung
+/// count, not a clock: the rung that reaches t can park at the same instant
+/// as the one before it.
+void Simulator::walk_ladder(Shard& s) {
   const int n = shard_count();
   obs::ProfSlice* const sl = prof_slice(s.index);
-  TimeNs b = pass_base_;
-  for (int w = 0; w < pass_windows_; ++w) {
-    b = b + lookahead_;
-    run_window(s, b);
-    clocks_[static_cast<std::size_t>(s.index)]->publish(b.ns());
+  for (int i = 1; i <= pass_rungs_; ++i) {
+    run_rung(s, i);
+    const std::int64_t rung = rungs_done_ + i;
+    clocks_[static_cast<std::size_t>(s.index)]->publish(rung);
     {
       const obs::ProfScope wait(sl, obs::ProfCat::kBarrierWait);
       for (int p = 0; p < n; ++p) {
-        if (p != s.index) (void)clocks_[static_cast<std::size_t>(p)]->await(b.ns());
+        if (p != s.index) (void)clocks_[static_cast<std::size_t>(p)]->await(rung);
       }
     }
     const obs::ProfScope inject(sl, obs::ProfCat::kMailboxInject);
@@ -294,23 +251,32 @@ void Simulator::windowed_shard_pass(Shard& s) {
   }
 }
 
-/// One window step: runs `s` strictly below `boundary`, parks its clock
-/// there (events at exactly `boundary` run in the next window) and
-/// publishes its outgoing mailboxes.
-void Simulator::run_window(Shard& s, TimeNs boundary) {
-  shard_pass(s, boundary, false);
-  if (boundary > s.now) s.now = boundary;
+/// The last instant rung `i` of the current pass runs: base + i*L - 1, or
+/// the horizon once the ladder reaches it.
+TimeNs Simulator::rung_last(int i) const {
+  if (lookahead_ == TimeNs::max() ||
+      i > (pass_horizon_ - pass_base_).ns() / lookahead_.ns()) {
+    return pass_horizon_;
+  }
+  return pass_base_ + TimeNs{i * lookahead_.ns() - 1};
+}
+
+/// Rung `i` on `s`: runs every event at or before the rung's last instant,
+/// parks the clock just past it (at the horizon for the rung that reaches
+/// it, nowhere for a drain's) and publishes the outgoing mailboxes.
+void Simulator::run_rung(Shard& s, int i) {
+  const TimeNs last = rung_last(i);
+  shard_pass(s, last);
+  const TimeNs park = last == pass_horizon_ ? last : last + TimeNs{1};
+  if (park != TimeNs::max()) s.now = park;
   flush_outgoing(s.index);
 }
 
-/// The one run loop: pops and runs `s`'s events before `boundary` (at or
-/// before it when `inclusive`).  A profiling slice sends every event through
-/// the attribution step and points level-2 scopes at it for the pass.
-/// Flattened so peek and the heap pops inline into the loop.
-[[gnu::flatten]] void Simulator::shard_pass(Shard& s, TimeNs boundary, bool inclusive) {
-  // Exclusive boundaries are window ends (>= lookahead > 0), so "at >=
-  // boundary" is "at > boundary - 1": one comparison per event either way.
-  const TimeNs last = inclusive ? boundary : boundary - TimeNs{1};
+/// The one run loop: pops and runs `s`'s events at or before `last`.  A
+/// profiling slice sends every event through the attribution step and points
+/// level-2 scopes at it for the pass.  Flattened so peek and the heap pops
+/// inline into the loop.
+[[gnu::flatten]] void Simulator::shard_pass(Shard& s, TimeNs last) {
   obs::ProfSlice* const sl = prof_slice(s.index);
   obs::ProfSlice* const prev_tls = obs::tls_prof_slice;
   if (sl != nullptr && prof_->detailed()) obs::tls_prof_slice = sl;
@@ -341,21 +307,17 @@ void Simulator::flush_outgoing(int src) {
 /// through the bulk path (ownership handoff — the packet travels, its pool
 /// does not; the caller runs end_bulk), and storage `src` freed on behalf of
 /// `dst`'s pool goes home via put_direct (the caller acts as the owner here,
-/// so the foreign guard must not re-route it).  Returns the earliest
-/// injected arrival, TimeNs::max() when nothing crossed.
-TimeNs Simulator::absorb(int src, int dst) {
+/// so the foreign guard must not re-route it).
+void Simulator::absorb(int src, int dst) {
   Shard& d = *shards_[static_cast<std::size_t>(dst)];
-  TimeNs earliest = TimeNs::max();
-  cross_ch(src, dst).drain([&d, &earliest](Crossing&& c) {
+  cross_ch(src, dst).drain([&d](Crossing&& c) {
     UFAB_CHECK_MSG(c.at >= d.now, "cross-shard crossing violates the lookahead bound");
-    earliest = std::min(earliest, c.at);
     push_deferred(d, c.at, c.h, c.k, UniqueFunction(DeliverEvent{c.dst, std::move(c.pkt)}));
   });
   ret_ch(src, dst).drain([](Packet*&& p) { p->origin_pool->put_direct(p); });
-  return earliest;
 }
 
-/// Absorbs everything published to this shard.
+/// Absorbs everything published to this shard: the drain that ends a rung.
 void Simulator::drain_incoming(Shard& s) {
   const int n = shard_count();
   for (int src = 0; src < n; ++src) {
@@ -407,7 +369,7 @@ void Simulator::run_to(TimeNs t) {
   const std::int64_t wall_t0 = prof_ != nullptr ? obs::ProfClock::now() : 0;
   if (shards_.size() == 1) {
     Shard& s = *shards_.front();
-    shard_pass(s, t, true);
+    shard_pass(s, t);
     if (t != TimeNs::max() && t > s.now) s.now = t;
   } else {
     run_until_sharded(t);
@@ -427,51 +389,18 @@ TimeNs Simulator::earliest_pending() {
   return earliest;
 }
 
-/// Parks every clock at `t` (never backwards).  A drain's horizon
-/// (TimeNs::max()) parks nothing.
-void Simulator::set_clocks(TimeNs t) {
-  if (t == TimeNs::max()) return;
-  for (auto& s : shards_) s->now = std::max(s->now, t);
-}
-
 /// A drain's end: parks every clock at the latest event any shard ran (or
 /// at `floor`, the common clock the drain started from, if that is later) —
-/// what the plain engine's now() reads.  Window boundaries may have parked
-/// clocks past it; with nothing pending, moving them back is safe.
+/// what the plain engine's now() reads.  Rungs may have parked clocks past
+/// it; with nothing pending, moving them back is safe.
 void Simulator::park_at_last_event(TimeNs floor) {
   TimeNs t = floor;
   for (const auto& s : shards_) t = std::max(t, s->last_event);
   for (auto& s : shards_) s->now = t;
 }
 
-/// The shard holding every pending event, or -1 when zero or several shards
-/// have work.  Only meaningful between passes (mailboxes drained).
-int Simulator::single_active_shard() const {
-  int active = -1;
-  for (const auto& s : shards_) {
-    if (s->ring_size > 0 || !s->overflow.empty()) {
-      if (active >= 0) return -1;
-      active = s->index;
-    }
-  }
-  return active;
-}
-
-/// Rewinds mailbox positions before they near the chunk-index wrap.  Called
-/// between passes, when every channel is drained, so the reset precondition
-/// (empty) holds by construction.
-void Simulator::reset_channels() {
-  for (auto& ch : cross_ch_) {
-    if (ch != nullptr) ch->maybe_reset();
-  }
-  for (auto& ch : ret_ch_) {
-    if (ch != nullptr) ch->maybe_reset();
-  }
-}
-
-/// Reports newly injected crossings to the profiler.  Called at points where
-/// posted == injected (after a pass's final drain), so the posted total *is*
-/// the injected total.
+/// Reports newly injected crossings to the profiler.  Called after a pass,
+/// when posted == injected, so the posted total *is* the injected total.
 void Simulator::note_injected_progress() {
   if (prof_ == nullptr) return;
   std::uint64_t total = 0;
@@ -480,130 +409,38 @@ void Simulator::note_injected_progress() {
   injected_noted_ = total;
 }
 
-/// Barrier-skip fast path: exactly one shard has pending events, so the
-/// coordinator runs it inline — no barrier, no clock publishing — striding
-/// by the shard's *outgoing* cut lookahead (nothing it does before
-/// boundary can be seen elsewhere before boundary) and routing any crossings
-/// itself.  Ends at the first boundary where a crossing woke a peer: the
-/// woken shard has executed nothing yet, so falling back to synchronized
-/// epochs there preserves the schedule exactly.  Returns whether any events
-/// ran (false lets the caller take the ordinary path this iteration).
-bool Simulator::solo_run(int x, TimeNs limit) {
-  Shard& s = *shards_[static_cast<std::size_t>(x)];
-  const TimeNs out_la =
-      shard_out_la_.empty() ? lookahead_ : shard_out_la_[static_cast<std::size_t>(x)];
-  const ShardScope scope = scoped(x);
-  const int n = shard_count();
-  bool progressed = false;
-  while (true) {
-    const Event* ev = peek(s);
-    if (ev == nullptr) break;
-    if (out_la == TimeNs::max()) {
-      // No outgoing cut links: nothing this shard runs can wake a peer.  Run
-      // straight to the limit, inclusively, matching the serial engine's
-      // treatment of events at exactly t.
-      shard_pass(s, limit, true);
-      if (limit != TimeNs::max() && limit > s.now) s.now = limit;
-      if (prof_ != nullptr) prof_->note_barrier_skip();
-      progressed = true;
-      break;
-    }
-    if (ev->at >= limit) break;
-    const TimeNs boundary = ev->at + out_la;
-    if (boundary >= limit) break;  // final stretch: the epoch loop owns it
-    run_window(s, boundary);
-    if (prof_ != nullptr) prof_->note_barrier_skip();
-    progressed = true;
-    bool woke = false;
-    {
-      const obs::ProfScope inject(prof_slice(0), obs::ProfCat::kMailboxInject);
-      for (int dst = 0; dst < n; ++dst) {
-        if (dst == x) continue;
-        if (absorb(x, dst) != TimeNs::max()) woke = true;
-        end_bulk(*shards_[static_cast<std::size_t>(dst)]);
-      }
-    }
-    if (woke) break;
-  }
-  note_injected_progress();
-  return progressed;
-}
-
-/// Coordinator-only injection round (workers parked): flushes and absorbs
-/// every mailbox.  Returns whether any injected crossing fires at or before
-/// `le_mark` — the final-epoch loop uses this to know it must run another
-/// inclusive pass.
-bool Simulator::inject_crossings(TimeNs le_mark) {
-  const obs::ProfScope inject(prof_slice(0), obs::ProfCat::kMailboxInject);
-  TimeNs earliest = TimeNs::max();
-  const int n = shard_count();
-  for (int src = 0; src < n; ++src) {
-    // The coordinator acts as writer here (flush) — safe because every
-    // worker is parked at the barrier, which orders their posts before
-    // this read-modify of the writer cursor.
-    flush_outgoing(src);
-    for (int dst = 0; dst < n; ++dst) {
-      if (src != dst) earliest = std::min(earliest, absorb(src, dst));
-    }
-  }
-  for (auto& s : shards_) end_bulk(*s);
-  // TimeNs::max() means nothing crossed, even when le_mark is a drain's.
-  return earliest != TimeNs::max() && earliest <= le_mark;
-}
-
-/// The one epoch loop: runs every event at or before `t` across all
-/// shards.  `t == TimeNs::max()` drains.  Every run starts and ends with all
-/// clocks equal.
+/// The epoch loop: one pass per coordinator barrier until nothing is
+/// pending at or before `t` (`t == TimeNs::max()` drains).  Every pass
+/// starts with all clocks equal and every mailbox drained.
 void Simulator::run_until_sharded(TimeNs t) {
   ensure_exec_started();
   const ShardScope scope = scoped(0);
   const TimeNs start = shards_.front()->now;
   while (true) {
-    // Between passes every mailbox is drained; clocks may be staggered after
-    // a solo round but never exceed the earliest pending event.
-    const TimeNs clock = shards_.front()->now;
-    if (clock >= t) break;
-    reset_channels();
     const TimeNs earliest = earliest_pending();
-    if (earliest == TimeNs::max() || earliest > t) {
-      // Nothing left at or before the horizon (events at exactly t
-      // included); TimeNs::max() is nothing left at all, a drain's end.
-      set_clocks(t);
-      break;
-    }
-    if (const int x = single_active_shard(); x >= 0 && solo_run(x, t)) continue;
+    if (earliest == TimeNs::max() || earliest > t) break;
     // Fast-forward: idle gaps cost one pass, not (gap / lookahead) of them.
-    const TimeNs base = std::max(clock, earliest);
-    if (lookahead_ == TimeNs::max() || t - base <= lookahead_) {
-      // Final epoch: process inclusively up to t, then loop — a crossing
-      // produced at tau in (t - lookahead, t] can arrive exactly at t and
-      // the serial engine would fire it, so keep passing until no injected
-      // crossing lands at or before t.  Terminates: second-round events all
-      // run at exactly t, and their crossings land strictly after t.  A
-      // drain's unbounded pass spans no finite epoch, so it notes none.
-      if (prof_ != nullptr && t != TimeNs::max()) prof_->note_epoch((t - base).ns());
-      run_pass(t, true);
-      set_clocks(t);
-      while (inject_crossings(t)) run_pass(t, true);
-      note_injected_progress();
-      break;
+    pass_base_ = std::max(shards_.front()->now, earliest);
+    pass_horizon_ = t;
+    pass_rungs_ = 1;
+    while (pass_rungs_ < epoch_windows_ && rung_last(pass_rungs_) != t) ++pass_rungs_;
+    // The pass spans base to its last rung's parking point; a drain's
+    // unbounded rung spans no finite epoch, so it notes none.
+    const TimeNs last = rung_last(pass_rungs_);
+    const TimeNs end = last == t ? t : last + TimeNs{1};
+    if (prof_ != nullptr && end != TimeNs::max()) {
+      prof_->note_epoch((end - pass_base_).ns());
+      prof_->note_windows(pass_rungs_);
     }
-    // Multi-window epoch: as many full windows as fit strictly below t (the
-    // final stretch needs the inclusive rounds above), capped by
-    // epoch_windows_.
-    const std::int64_t la = lookahead_.ns();
-    const std::int64_t span = t.ns() - base.ns();  // > la here
-    const int w = static_cast<int>(
-        std::min<std::int64_t>(epoch_windows_, (span - 1) / la));
-    if (prof_ != nullptr) {
-      prof_->note_epoch(w * la);
-      prof_->note_windows(w);
-    }
-    run_pass_windowed(base, w);
-    set_clocks(base + TimeNs{w * la});
+    run_pass();
     note_injected_progress();
   }
-  if (t == TimeNs::max()) park_at_last_event(start);
+  if (t == TimeNs::max()) {
+    park_at_last_event(start);
+  } else {
+    // Nothing is left at or before t: idle clocks catch up to the horizon.
+    for (auto& s : shards_) s->now = std::max(s->now, t);
+  }
 }
 
 void Simulator::enable_profiling(obs::ProfOptions opts) {

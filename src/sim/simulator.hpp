@@ -30,25 +30,22 @@
 // index; at fig17 scale the probability is ~1e-10 per run and any such run
 // would still be deterministic, just not provably shard-count-invariant.)
 //
-// Sharded execution (configure_shards(n > 1)) is conservative parallel DES:
-// shards advance through lookahead windows (the min propagation delay over
-// cut links) in lockstep.  Because a crossing arrives a full propagation
-// delay after the event that posts it, no crossing can land inside the
-// window that produced it, so a shard processing events strictly before a
-// window boundary never misses a remote event.  Cross-shard packets are
-// posted into per-(src,dst) SPSC mailboxes (batched publication, see
-// shard_sync.hpp) and *travel*: the destination shard takes ownership of the
-// packet itself — no clone — and a later release on a foreign shard routes
-// back to the owner pool through a return mailbox (PacketPool's foreign
-// guard).  An *epoch* (one coordinator barrier) spans many windows: inside a
-// pass each shard self-synchronizes at window boundaries through published
-// per-shard clocks (flush mailboxes, publish clock, spin until peers reach
-// the boundary, drain incoming — DESIGN.md §12), which amortizes the ~µs
-// condvar barrier over 16 windows of ~100 ns clock spins.  When only one
-// shard has pending events the coordinator skips barriers entirely and runs
-// it solo with a stride of that shard's *outgoing* cut lookahead, routing
-// crossings itself until another shard wakes.  The calendar stays inline
-// here; the one run loop and the epoch machinery live in simulator.cpp.
+// Sharded execution (configure_shards(n > 1)) is conservative parallel DES
+// with one epoch protocol, a rung ladder: shards advance in lockstep through
+// rungs one lookahead long (the min propagation delay over cut links), the
+// last of which ends at the run's horizon.  Because a crossing arrives a
+// full propagation delay after the event that posts it, no crossing can land
+// inside the rung that produced it, so a shard never misses a remote event.
+// Cross-shard packets are posted into per-(src,dst) SPSC mailboxes (batched
+// publication, see shard_sync.hpp) and *travel*: the destination shard takes
+// ownership of the packet itself — no clone — and a later release on a
+// foreign shard routes back to the owner pool through a return mailbox
+// (PacketPool's foreign guard).  An *epoch* (one coordinator barrier) spans
+// up to 16 rungs: inside a pass each shard self-synchronizes at rung ends
+// through published per-shard progress (flush mailboxes, publish, spin until
+// peers reach the rung, drain incoming — DESIGN.md §12), which amortizes the
+// ~µs condvar barrier over 16 rungs of ~100 ns spins.  The calendar stays
+// inline here; the one run loop and the ladder live in simulator.cpp.
 #pragma once
 
 #include <algorithm>
@@ -147,27 +144,15 @@ class Simulator {
   /// Always true: canonical (h, k) ordering is the engine's only mode.
   [[nodiscard]] bool canonical_order() const { return true; }
 
-  /// Epoch synchronization (DESIGN.md §12): one coordinator barrier spans
-  /// `windows` lookahead windows (shards self-synchronize at the interior
-  /// boundaries through published clocks), and solo rounds skip barriers
-  /// entirely.  The schedule is byte-identical for every width (canonical
-  /// (h,k) keys are partition- and batching-invariant).  Must be called
-  /// before the first run.
+  /// Epoch synchronization (DESIGN.md §12): one coordinator barrier spans up
+  /// to `windows` rungs of the lookahead ladder (shards self-synchronize at
+  /// the interior rung ends through published progress).  The schedule is
+  /// byte-identical for every width (canonical (h,k) keys are partition- and
+  /// batching-invariant).  Must be called before the first run.
   void set_epoch_windows(int windows) {
     UFAB_CHECK_MSG(!exec_started_, "set_epoch_windows after a run started");
     UFAB_CHECK(windows >= 1);
     epoch_windows_ = windows;
-  }
-
-  /// Per-shard *outgoing* cut lookahead (min prop delay over the shard's
-  /// outgoing cut links; TimeNs::max() when the shard has none) from
-  /// topo::partition_network.  Solo rounds stride by it — a shard whose
-  /// cheapest outgoing cut is 5 µs can run 5 µs between routings even when
-  /// the global (incoming-min) lookahead is 500 ns.
-  void set_shard_lookaheads(std::vector<TimeNs> out_lookahead) {
-    UFAB_CHECK(out_lookahead.empty() ||
-               out_lookahead.size() == shards_.size());
-    shard_out_la_ = std::move(out_lookahead);
   }
 
   /// Forces sequential (single-thread) epoch execution.  Sequential epochs
@@ -190,7 +175,8 @@ class Simulator {
 
   /// RAII guard homing scheduling calls onto one shard: while alive, at() /
   /// after() / packet_pool() on this thread resolve to `shard`.  Setup code
-  /// uses it to place per-host/per-switch work on the owning shard.
+  /// uses it to place per-host/per-switch work on the owning shard; an event
+  /// may scope onto its own shard only (see scoped()).
   class [[nodiscard]] ShardScope {
    public:
     ~ShardScope() {
@@ -214,8 +200,16 @@ class Simulator {
     int prev_index_;
   };
 
+  /// Scoping onto another shard from inside a running event fails loudly:
+  /// whatever the event scheduled there would bypass the conservative
+  /// protocol (the other shard may already have run past it, or run
+  /// concurrently).  Cross-shard work travels as a crossing over a cut link.
   [[nodiscard]] ShardScope scoped(int shard) {
     UFAB_CHECK(shard >= 0 && shard < shard_count());
+    const Shard& cur = active();
+    UFAB_CHECK_MSG(!cur.in_event || cur.index == shard,
+                   "an event scoped onto another shard: cross-shard work must travel over a "
+                   "cut link");
     return ShardScope(this, shard);
   }
 
@@ -260,10 +254,10 @@ class Simulator {
   /// post_cross with an explicit key: a cut link posts each crossing under
   /// its packet's commit key — at commit time, or from the packet's wire-exit
   /// event.  Safe for the conservative sync: `at` exceeds the posting time by
-  /// at least prop >= lookahead, so the crossing still lands at or past every
-  /// boundary reachable from the posting window.  Must be called from inside
-  /// a running event: a root-context post would sit unflushed where
-  /// earliest_pending()/solo decisions cannot see it.
+  /// at least prop >= lookahead, so the crossing still lands past the rung
+  /// that posted it.  Must be called from inside a running event: a
+  /// root-context post would sit unflushed where earliest_pending() cannot
+  /// see it.
   void post_cross_keyed(int dst_shard, TimeNs at, Node* dst, PacketPtr pkt,
                         std::uint64_t h, std::uint32_t k) {
     UFAB_PROF_SCOPE(obs::ProfCat::kMailboxPost);
@@ -447,8 +441,8 @@ class Simulator {
     bool peeked_overflow = false;  ///< Tier of the last peek() result.
     Bucket overflow;
 
-    /// Time of the last event this shard ran (clocks park past it at window
-    /// boundaries; a drain parks every clock at the latest one).
+    /// Time of the last event this shard ran (clocks park past it at rung
+    /// ends; a drain parks every clock at the latest one).
     TimeNs last_event = TimeNs::zero();
 
     // Scheduling context (the currently executing event).
@@ -721,27 +715,20 @@ class Simulator {
 
   // --- execution (simulator.cpp) ---
   void run_to(TimeNs t);
-  void shard_pass(Shard& s, TimeNs boundary, bool inclusive);
+  void shard_pass(Shard& s, TimeNs last);
   void pop_and_run_profiled(Shard& s, obs::ProfSlice& sl);
   void run_until_sharded(TimeNs t);
   void ensure_exec_started();
-  void run_pass(TimeNs boundary, bool inclusive);
-  void run_pass_windowed(TimeNs base, int windows);
-  void threaded_pass();
-  void pass_side(Shard& s);
-  void windowed_shard_pass(Shard& s);
-  void run_window(Shard& s, TimeNs boundary);
+  void run_pass();
+  void walk_ladder(Shard& s);
+  [[nodiscard]] TimeNs rung_last(int i) const;
+  void run_rung(Shard& s, int i);
   void flush_outgoing(int src);
-  TimeNs absorb(int src, int dst);
+  void absorb(int src, int dst);
   void drain_incoming(Shard& s);
-  bool solo_run(int x, TimeNs limit);
-  [[nodiscard]] int single_active_shard() const;
-  void reset_channels();
   void note_injected_progress();
   [[nodiscard]] TimeNs earliest_pending();
-  void set_clocks(TimeNs t);
   void park_at_last_event(TimeNs floor);
-  [[nodiscard]] bool inject_crossings(TimeNs le_mark);
   void worker_main(int shard_index);
   static void foreign_release_sink(void* ctx, PacketPool* owner, Packet* p);
 
@@ -754,13 +741,12 @@ class Simulator {
   std::vector<std::unique_ptr<ShardMailbox<Crossing>>> cross_ch_;
   /// Return mailboxes, row-major [freer * n + owner] (diagonal null).
   std::vector<std::unique_ptr<ShardMailbox<Packet*>>> ret_ch_;
-  /// Per-shard published clocks for intra-epoch window synchronization.
+  /// Per-shard published progress (rungs completed) for in-pass sync.
   std::vector<std::unique_ptr<ShardClockSlot>> clocks_;
   TimeNs lookahead_ = TimeNs::max();
   std::uint32_t root_k_ = 0;  ///< FIFO counter for root-context scheduling.
 
-  int epoch_windows_ = 16;  ///< Lookahead windows per coordinator barrier.
-  std::vector<TimeNs> shard_out_la_;  ///< Per-shard outgoing cut lookahead.
+  int epoch_windows_ = 16;  ///< Max rungs per coordinator barrier.
 
   ShardExec exec_request_ = ShardExec::kAuto;
   bool sequential_only_ = false;
@@ -769,10 +755,11 @@ class Simulator {
   bool exec_threads_ = false;
   std::unique_ptr<EpochBarrier> barrier_;
   std::vector<std::thread> workers_;
-  TimeNs pass_boundary_ = TimeNs::zero();
-  bool pass_inclusive_ = false;
-  TimeNs pass_base_ = TimeNs::zero();  ///< Windowed pass: first window start.
-  int pass_windows_ = 0;               ///< 0 = single-boundary pass.
+  // The current pass, written by the coordinator between passes.
+  TimeNs pass_base_ = TimeNs::zero();     ///< Where the ladder starts.
+  TimeNs pass_horizon_ = TimeNs::zero();  ///< The run's t (max() drains).
+  int pass_rungs_ = 0;
+  std::int64_t rungs_done_ = 0;  ///< Rungs walked in earlier passes.
   std::uint64_t pass_gen_ = 0;
   std::uint64_t injected_noted_ = 0;  ///< Crossings already reported to prof_.
   std::unique_ptr<obs::Profiler> prof_;  ///< Null = profiling disabled.

@@ -153,21 +153,16 @@ Partition partition_network(const Network& net, int want_shards) {
     }
   }
 
-  // Cut links, the global lookahead bound, and the per-shard outgoing
-  // strides (min prop over each source shard's cut links).
+  // Cut links and the lookahead bound (min prop over them).
   std::int64_t min_prop = std::numeric_limits<std::int64_t>::max();
-  out.shard_out_lookahead.assign(static_cast<std::size_t>(shards), TimeNs::max());
   for (const sim::Link* l : net.links()) {
     const int from = out.node_shard[static_cast<std::size_t>(net.link_owner(l->id()).value())];
     const int to = out.node_shard[static_cast<std::size_t>(
         net.link_owner(net.reverse_link(l->id())).value())];
     if (from == to) continue;
     out.cut_links.push_back(l->id());
-    out.cut_link_prop.push_back(l->prop_delay());
     out.link_dst_shard[static_cast<std::size_t>(l->id().value())] = to;
     min_prop = std::min(min_prop, l->prop_delay().ns());
-    TimeNs& from_la = out.shard_out_lookahead[static_cast<std::size_t>(from)];
-    if (l->prop_delay() < from_la) from_la = l->prop_delay();
   }
   if (!out.cut_links.empty()) {
     UFAB_CHECK_MSG(min_prop > 0, "cut link with zero propagation delay: no lookahead");

@@ -6,8 +6,9 @@
 // stripping the top tiers, balanced by host count.  The stripped top-tier
 // switches are dealt round-robin across shards — their links are the cut
 // links, and the minimum propagation delay over them is the partition's
-// lookahead: the epoch length under which the sharded engine is provably
-// equivalent to the serial one (see DESIGN.md §9).
+// lookahead: the rung length of the engine's one epoch protocol, under
+// which the sharded engine is provably equivalent to the serial one (see
+// DESIGN.md §9).
 #pragma once
 
 #include <vector>
@@ -27,16 +28,8 @@ struct Partition {
   std::vector<int> node_shard;
   /// Every link whose endpoints live on different shards.
   std::vector<LinkId> cut_links;
-  /// Aligned with cut_links: each cut link's propagation delay.  The engine's
-  /// adaptive synchronization wants the delay *table*, not just the min —
-  /// per-shard strides come from it (DESIGN.md §12).
-  std::vector<TimeNs> cut_link_prop;
   /// Indexed by LinkId value: the peer's shard for cut links, -1 for local.
   std::vector<int> link_dst_shard;
-  /// Per-shard min prop delay over *outgoing* cut links (TimeNs::max() for a
-  /// shard with none).  Solo rounds stride by this: nothing shard s runs
-  /// before tau + shard_out_lookahead[s] can be observed elsewhere.
-  std::vector<TimeNs> shard_out_lookahead;
 
   [[nodiscard]] int shard_of(NodeId n) const {
     return node_shard.at(static_cast<std::size_t>(n.value()));

@@ -20,6 +20,19 @@ void send_app_message(harness::Fabric& fab, VmId src, VmId dst, std::int64_t byt
                       std::uint64_t tag) {
   fab.send(VmPairId{src, dst}, bytes, tag);
 }
+
+/// The apps keep one RNG and one set of tallies for all their hosts, so on a
+/// multi-shard engine every host whose events draw from them or update them
+/// must sit on `home`, the shard the app's start event runs on.  Anything
+/// else races under worker threads and, even on the sequential executor,
+/// draws in an order no shard count reproduces (ROADMAP item 7).
+void require_home_shard(harness::Fabric& fab, int home, const std::vector<VmId>& vms) {
+  for (const VmId vm : vms) {
+    UFAB_CHECK_MSG(fab.shard_of_host(fab.vms().host_of(vm)) == home,
+                   "this application model is not shard-safe (one RNG and one set of tallies "
+                   "for all its hosts; ROADMAP item 7): run it without UFAB_SHARDS");
+  }
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -51,9 +64,15 @@ RpcApp::RpcApp(harness::Fabric& fab, std::vector<VmId> clients, std::vector<VmId
     : fab_(fab), clients_(std::move(clients)), servers_(std::move(servers)), cfg_(cfg),
       rng_(rng) {
   UFAB_CHECK(!clients_.empty() && !servers_.empty());
+  // Clients issue requests and tally completions; servers draw response
+  // sizes unless the size is fixed.
+  const HostId home = fab_.vms().host_of(clients_.front());
+  const int home_shard = fab_.shard_of_host(home);
+  require_home_shard(fab_, home_shard, clients_);
+  if (cfg_.fixed_response_bytes <= 0) require_home_shard(fab_, home_shard, servers_);
   fab_.add_delivery_listener(
       [this](const transport::Message& msg, TimeNs at) { on_delivery(msg, at); });
-  fab_.sim().at(cfg_.start, [this] {
+  fab_.schedule_on_host(home, cfg_.start, [this] {
     for (std::size_t i = 0; i < clients_.size(); ++i) issue(i);
   });
 }
@@ -118,9 +137,13 @@ EbsApp::EbsApp(harness::Fabric& fab, std::vector<VmId> storage_agents,
       rng_(rng) {
   UFAB_CHECK(!sas_.empty() && !bas_.empty() && !css_.empty());
   UFAB_CHECK(static_cast<int>(css_.size()) >= cfg_.replicas);
+  // Every role touches the shared block/GC tables or the RNG.
+  const HostId home = fab_.vms().host_of(sas_.front());
+  const int home_shard = fab_.shard_of_host(home);
+  for (const auto* role : {&sas_, &bas_, &css_, &gcs_}) require_home_shard(fab_, home_shard, *role);
   fab_.add_delivery_listener(
       [this](const transport::Message& msg, TimeNs at) { on_delivery(msg, at); });
-  fab_.sim().at(cfg_.start, [this] {
+  fab_.schedule_on_host(home, cfg_.start, [this] {
     for (std::size_t i = 0; i < sas_.size(); ++i) sa_tick(i);
     for (std::size_t i = 0; i < gcs_.size(); ++i) gc_tick(i);
   });

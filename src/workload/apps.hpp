@@ -22,6 +22,10 @@ namespace ufab::workload {
 /// Each client repeatedly: picks a random server VM, sends a small request,
 /// waits for the response (sized from a distribution or fixed), records the
 /// query completion time, then immediately issues the next request.
+///
+/// One RNG and one set of tallies serve every host, so on a multi-shard
+/// engine the constructor fails unless every client — and every server, when
+/// response sizes are drawn — sits on one shard (ROADMAP item 7).
 class RpcApp {
  public:
   struct Config {
@@ -73,6 +77,10 @@ class RpcApp {
 /// Agents; each Block Agent replicates the block to three Chunk Servers;
 /// a Garbage Collector does periodic read-modify-write cycles against Chunk
 /// Servers. Task completion times are tracked per stage and end to end.
+///
+/// One RNG and one set of tables serve every role, so on a multi-shard
+/// engine the constructor fails unless all of its hosts sit on one shard
+/// (ROADMAP item 7).
 class EbsApp {
  public:
   struct Config {

@@ -354,6 +354,230 @@ TEST(ShardedEngine, UncutDrainLeavesClocksAtLastEvents) {
   }
 }
 
+/// A chain on shard 0 stepping every 400 ns from `first` to `t - L`, whose
+/// last step posts a crossing to shard 1 that lands at exactly `t`.
+/// `shards == 1` is the serial reference: the crossing is a local delivery
+/// under the same child key.
+struct HorizonRun {
+  std::vector<std::int64_t> chain;
+  std::vector<std::pair<std::int64_t, std::int64_t>> arrivals;
+  std::int64_t clock[2] = {0, 0};
+  std::uint64_t events = 0;
+  std::size_t pending = 0;
+};
+
+HorizonRun run_to_horizon(int shards, ShardExec exec, std::int64_t first, std::int64_t t,
+                          int windows) {
+  Simulator sim;
+  if (shards > 1) sim.configure_shards(shards, TimeNs{kLookahead}, exec);
+  sim.set_epoch_windows(windows);
+  HorizonRun out;
+  RecordingNode sink(sim, 1);
+  struct Stepper {
+    Simulator* sim;
+    RecordingNode* sink;
+    std::vector<std::int64_t>* times;
+    std::int64_t final_step;
+    void fire() {
+      const TimeNs now = sim->now();
+      times->push_back(now.ns());
+      if (now.ns() < final_step) {
+        sim->after(TimeNs{std::min<std::int64_t>(400, final_step - now.ns())}, [this] { fire(); });
+        return;
+      }
+      auto pkt = make_packet(sim->packet_pool(), PacketKind::kData, VmPairId{VmId{1}, VmId{2}},
+                             TenantId{0}, HostId{0}, HostId{1}, 777);
+      if (sim->shard_count() == 1) {
+        sim->after(TimeNs{kLookahead}, DeliverEvent{sink, std::move(pkt)});
+      } else {
+        sim->post_cross(1, now + TimeNs{kLookahead}, sink, std::move(pkt));
+      }
+    }
+  };
+  Stepper stepper{&sim, &sink, &out.chain, t - kLookahead};
+  sim.at(TimeNs{first}, [&stepper] { stepper.fire(); });
+  sim.run_until(TimeNs{t});
+  out.arrivals = sink.arrivals;
+  for (int s = 0; s < 2; ++s) {
+    const auto scope = sim.scoped(s % shards);
+    out.clock[s] = sim.now().ns();
+  }
+  out.events = sim.events_processed();
+  out.pending = sim.pending();
+  return out;
+}
+
+TEST(ShardedEngine, HorizonRungFiresCrossingsLandingAtTheHorizon) {
+  // The rung that reaches t runs events at exactly t, so a crossing posted
+  // one lookahead earlier fires inside run_until(t) on both executors, and
+  // every clock ends at t.  Three ladders: t - base a multiple of L, not a
+  // multiple, and more rungs than one pass holds.
+  struct Case {
+    std::int64_t first;
+    std::int64_t t;
+    int windows;
+  };
+  for (const Case c :
+       {Case{100, 100 + 4 * kLookahead, 16}, Case{100, 100 + 3 * kLookahead + 250, 16},
+        Case{100, 100 + 6 * kLookahead + 333, 2}}) {
+    const HorizonRun serial = run_to_horizon(1, ShardExec::kSequential, c.first, c.t, c.windows);
+    ASSERT_EQ(serial.arrivals.size(), 1u);
+    EXPECT_EQ(serial.arrivals[0].first, c.t);
+    for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
+      const HorizonRun run = run_to_horizon(2, exec, c.first, c.t, c.windows);
+      EXPECT_EQ(run.chain, serial.chain) << "t=" << c.t;
+      EXPECT_EQ(run.arrivals, serial.arrivals) << "t=" << c.t;
+      EXPECT_EQ(run.events, serial.events) << "t=" << c.t;
+      EXPECT_EQ(run.pending, 0u) << "t=" << c.t;
+      for (int s = 0; s < 2; ++s) EXPECT_EQ(run.clock[s], c.t) << "shard " << s << ", t=" << c.t;
+    }
+  }
+}
+
+TEST(ShardedEngine, RunUntilTheCurrentClockRunsEventsAtIt) {
+  // Setup code may schedule at exactly now() after run_until(t) returned; a
+  // second run_until(t) runs it, as the serial engine does.
+  struct Config {
+    int shards;
+    ShardExec exec;
+  };
+  for (const Config c : {Config{1, ShardExec::kSequential}, Config{2, ShardExec::kSequential},
+                         Config{2, ShardExec::kThreads}}) {
+    Simulator sim;
+    if (c.shards > 1) sim.configure_shards(c.shards, TimeNs{kLookahead}, c.exec);
+    sim.run_until(TimeNs{5'000});
+    std::vector<std::int64_t> fired;
+    {
+      const auto scope = sim.scoped(c.shards - 1);
+      sim.at(TimeNs{5'000}, [&sim, &fired] { fired.push_back(sim.now().ns()); });
+    }
+    sim.run_until(TimeNs{5'000});
+    EXPECT_EQ(fired, std::vector<std::int64_t>{5'000}) << c.shards << " shards";
+  }
+}
+
+/// Receives crossings on shard 0 and answers each with one local follow-up.
+class EchoNode final : public Node {
+ public:
+  EchoNode(Simulator& sim, std::int32_t id) : Node(NodeId{id}, "echo"), sim_(sim) {}
+  void receive(PacketPtr pkt) override {
+    arrivals.emplace_back(sim_.now().ns(), pkt->size_bytes);
+    sim_.after(TimeNs{50}, [this] { followups.push_back(sim_.now().ns()); });
+  }
+  std::vector<std::pair<std::int64_t, std::int64_t>> arrivals;
+  std::vector<std::int64_t> followups;
+
+ private:
+  Simulator& sim_;
+};
+
+TEST(ShardedEngine, OneBusyShardMatchesSerialRun) {
+  // Cut links, every chain step on shard 1, and shard 0 woken only by the
+  // crossings it receives: the run fires the serial schedule on both
+  // executors, with run_until and with run(), and leaves every clock equal.
+  struct Trace {
+    std::vector<std::int64_t> chain;
+    std::vector<std::pair<std::int64_t, std::int64_t>> arrivals;
+    std::vector<std::int64_t> followups;
+    std::uint64_t events = 0;
+    std::int64_t clock[2] = {0, 0};
+  };
+  const auto run = [](int shards, ShardExec exec, bool drain) {
+    Simulator sim;
+    if (shards > 1) sim.configure_shards(shards, TimeNs{kLookahead}, exec);
+    Trace out;
+    EchoNode echo(sim, 0);
+    struct Chain {
+      Simulator* sim;
+      EchoNode* echo;
+      std::vector<std::int64_t>* times;
+      void fire() {
+        times->push_back(sim->now().ns());
+        if (times->size() % 4 == 0) {
+          auto pkt = make_packet(sim->packet_pool(), PacketKind::kData,
+                                 VmPairId{VmId{1}, VmId{2}}, TenantId{0}, HostId{1}, HostId{0},
+                                 static_cast<std::int32_t>(times->size()));
+          if (sim->shard_count() == 1) {
+            sim->after(TimeNs{kLookahead}, DeliverEvent{echo, std::move(pkt)});
+          } else {
+            sim->post_cross(0, sim->now() + TimeNs{kLookahead}, echo, std::move(pkt));
+          }
+        }
+        if (sim->now() < TimeNs{20'000}) sim->after(TimeNs{300}, [this] { fire(); });
+      }
+    };
+    Chain chain{&sim, &echo, &out.chain};
+    {
+      const auto scope = sim.scoped(shards > 1 ? 1 : 0);
+      sim.at(TimeNs{10}, [&chain] { chain.fire(); });
+    }
+    if (drain) {
+      sim.run();
+    } else {
+      sim.run_until(TimeNs{30'000});
+    }
+    out.arrivals = echo.arrivals;
+    out.followups = echo.followups;
+    out.events = sim.events_processed();
+    for (int s = 0; s < 2; ++s) {
+      const auto scope = sim.scoped(s % shards);
+      out.clock[s] = sim.now().ns();
+    }
+    return out;
+  };
+  for (const bool drain : {false, true}) {
+    const Trace serial = run(1, ShardExec::kSequential, drain);
+    ASSERT_GT(serial.arrivals.size(), 10u);
+    ASSERT_EQ(serial.followups.size(), serial.arrivals.size());
+    for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
+      const Trace sharded = run(2, exec, drain);
+      EXPECT_EQ(sharded.chain, serial.chain) << "drain=" << drain;
+      EXPECT_EQ(sharded.arrivals, serial.arrivals) << "drain=" << drain;
+      EXPECT_EQ(sharded.followups, serial.followups) << "drain=" << drain;
+      EXPECT_EQ(sharded.events, serial.events) << "drain=" << drain;
+      for (int s = 0; s < 2; ++s) {
+        EXPECT_EQ(sharded.clock[s], serial.clock[0]) << "shard " << s << ", drain=" << drain;
+      }
+    }
+  }
+}
+
+TEST(ShardedEngine, SetupAndSameShardScopingStayLegal) {
+  // Scoping from setup code, and from an event onto its own shard, are the
+  // two legal uses of scoped(); the event's follow-up lands on that shard.
+  for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
+    Simulator sim;
+    sim.configure_shards(2, TimeNs{kLookahead}, exec);
+    std::vector<std::int64_t> fired;
+    {
+      const auto scope = sim.scoped(1);
+      sim.at(TimeNs{10}, [&sim, &fired] {
+        const auto same = sim.scoped(1);
+        sim.after(TimeNs{5}, [&sim, &fired] { fired.push_back(sim.now().ns()); });
+      });
+    }
+    sim.run();
+    EXPECT_EQ(fired, std::vector<std::int64_t>{15});
+    EXPECT_EQ(sim.shard_events_processed(1), 2u);
+  }
+}
+
+TEST(ShardedEngineDeathTest, EventScopedOntoAnotherShardDies) {
+  // What an event schedules on another shard would bypass the epoch
+  // protocol, so scoped() refuses it before anything is scheduled.
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.configure_shards(2, TimeNs{kLookahead}, ShardExec::kSequential);
+        sim.at(TimeNs{10}, [&sim] {
+          const auto other = sim.scoped(1);
+          sim.after(TimeNs{5}, [] {});
+        });
+        sim.run();
+      },
+      "an event scoped onto another shard");
+}
+
 TEST(ShardMailboxUnit, PostFlushDrainKeepsOrderAndCounts) {
   ShardMailbox<int> box;
   for (int i = 0; i < 5; ++i) box.post(int{i});
@@ -368,7 +592,7 @@ TEST(ShardMailboxUnit, PostFlushDrainKeepsOrderAndCounts) {
   box.drain(take);
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(box.max_drain_batch(), 5u);
-  EXPECT_TRUE(box.quiesced_empty());
+  EXPECT_EQ(box.size(), 0u);
   // A second flush with nothing new published is a no-op (no release store).
   box.flush();
   EXPECT_EQ(box.flushes(), 1u);
@@ -383,8 +607,8 @@ TEST(ShardMailboxUnit, PostFlushDrainKeepsOrderAndCounts) {
 
 TEST(ShardMailboxUnit, BatchesSpanChunksAndRewind) {
   ShardMailbox<int> box;
-  // More than one 64-item chunk in a single batch, across several cycles so
-  // the quiesced rewind path runs too.
+  // More than one 64-item chunk in a single batch, across enough cycles that
+  // the positions go round the chunk ring (16384 entries) twice.
   std::uint64_t total = 0;
   std::vector<int> got;
   for (int round = 0; round < 200; ++round) {
@@ -397,8 +621,7 @@ TEST(ShardMailboxUnit, BatchesSpanChunksAndRewind) {
     ASSERT_EQ(got.front(), round * 1000);
     ASSERT_EQ(got.back(), round * 1000 + n - 1);
     total += static_cast<std::uint64_t>(n);
-    ASSERT_TRUE(box.quiesced_empty());
-    box.maybe_reset();
+    ASSERT_EQ(box.size(), 0u);
   }
   EXPECT_EQ(box.posted_total(), total);
   EXPECT_GE(box.max_drain_batch(), 100u);

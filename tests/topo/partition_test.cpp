@@ -46,12 +46,7 @@ void check_partition(Network& net, int want, int expect_shards) {
   // propagation delay over those links.
   std::set<std::int32_t> cut{};
   for (const LinkId lid : part.cut_links) cut.insert(lid.value());
-  ASSERT_EQ(part.cut_link_prop.size(), part.cut_links.size());
-  for (std::size_t i = 0; i < part.cut_links.size(); ++i) {
-    EXPECT_EQ(part.cut_link_prop[i], net.link(part.cut_links[i])->prop_delay());
-  }
   std::int64_t min_prop = std::numeric_limits<std::int64_t>::max();
-  std::vector<TimeNs> out_la(static_cast<std::size_t>(part.shards), TimeNs::max());
   for (const sim::Link* l : net.links()) {
     const int from = part.shard_of(net.link_owner(l->id()));
     const int to = part.shard_of(net.link_owner(net.reverse_link(l->id())));
@@ -63,8 +58,6 @@ void check_partition(Network& net, int want, int expect_shards) {
       EXPECT_EQ(dst, to) << l->name();
       EXPECT_TRUE(cut.count(l->id().value())) << l->name();
       min_prop = std::min(min_prop, l->prop_delay().ns());
-      TimeNs& la = out_la[static_cast<std::size_t>(from)];
-      if (l->prop_delay() < la) la = l->prop_delay();
       // Hosts always stay with their ToR: a NIC link is never a cut link.
       EXPECT_FALSE(host_nodes.count(net.link_owner(l->id()).value())) << l->name();
       EXPECT_FALSE(host_nodes.count(net.link_owner(net.reverse_link(l->id())).value()))
@@ -74,19 +67,10 @@ void check_partition(Network& net, int want, int expect_shards) {
   if (part.shards == 1) {
     EXPECT_TRUE(part.cut_links.empty());
     EXPECT_EQ(part.lookahead, TimeNs::max());
-    EXPECT_TRUE(part.shard_out_lookahead.empty());
   } else {
     ASSERT_FALSE(part.cut_links.empty());
     EXPECT_EQ(part.lookahead.ns(), min_prop);
     EXPECT_GT(part.lookahead.ns(), 0);
-    // Per-source-shard outgoing strides: min prop over that shard's cut
-    // links, feeding the engine's solo barrier-skip rounds.
-    ASSERT_EQ(part.shard_out_lookahead.size(), static_cast<std::size_t>(part.shards));
-    for (int s = 0; s < part.shards; ++s) {
-      EXPECT_EQ(part.shard_out_lookahead[static_cast<std::size_t>(s)],
-                out_la[static_cast<std::size_t>(s)])
-          << "shard " << s;
-    }
   }
 
   // Deterministic: the same topology and request reproduce the same cut.
@@ -142,9 +126,7 @@ TEST(Partition, TieredCorePropSetsCutLookahead) {
   const Partition part = partition_network(*net, 4);
   ASSERT_EQ(part.shards, 4);
   EXPECT_EQ(part.lookahead, TimeNs{5'000});
-  ASSERT_EQ(part.shard_out_lookahead.size(), 4u);
-  for (const TimeNs la : part.shard_out_lookahead) EXPECT_EQ(la, TimeNs{5'000});
-  for (const TimeNs p : part.cut_link_prop) EXPECT_EQ(p, TimeNs{5'000});
+  for (const LinkId lid : part.cut_links) EXPECT_EQ(net->link(lid)->prop_delay(), TimeNs{5'000});
 }
 
 TEST(Partition, TestbedSupportsOneTwoFourShards) {
