@@ -3,6 +3,8 @@
 // per-probe INT processing path.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <memory>
 #include <thread>
 
 #include "src/harness/experiment.hpp"
@@ -293,20 +295,19 @@ BENCHMARK(BM_TokenAssignment)->Arg(8)->Arg(128);
 /// A 1 ms slice of the fig17 workload (uFAB on a k=4 FatTree, websearch
 /// sizes at load 0.5): the end-to-end engine benchmark — event queue, packet
 /// pool, links, transport, and telemetry together.  Tracks the same path
-/// scripts/run_perf.sh times at full scale.  Only run_until is timed: the
-/// experiment's construction and teardown run with timing paused, so the
-/// number (and the profiler-overhead guard built on it) reads the run loop,
-/// not how the allocator happens to trim the heap between iterations.
-void BM_Fig17Slice(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto exp = std::make_unique<harness::Experiment>(
+/// scripts/run_perf.sh times at full scale.  Built untimed; only run() is
+/// the measured phase.  `profiled` attaches a level-1 profiler on top of
+/// whatever UFAB_PROF asks the experiment for.
+struct Fig17Slice {
+  explicit Fig17Slice(bool profiled) {
+    exp = std::make_unique<harness::Experiment>(
         harness::Scheme::kUfab,
         [](sim::Simulator& s, const topo::FabricOptions& o) {
           return topo::make_fat_tree(s, 4, 1, o);
         },
         topo::FabricOptions{}, harness::SchemeOptions{}, 41);
     auto& fab = exp->fab();
+    if (profiled) fab.sim().enable_profiling();
     auto& vms = fab.vms();
     std::vector<VmPairId> pairs;
     Rng pair_rng = fab.rng().fork("pairs");
@@ -323,18 +324,56 @@ void BM_Fig17Slice(benchmark::State& state) {
     workload::PoissonFlowGenerator::Config gcfg;
     gcfg.target_load = 0.5;
     gcfg.stop = 1_ms;
-    auto gen = std::make_unique<workload::PoissonFlowGenerator>(
+    gen = std::make_unique<workload::PoissonFlowGenerator>(
         fab, pairs, workload::EmpiricalSizeDist::websearch(), gcfg, fab.rng().fork("flows"));
-    state.ResumeTiming();
-    fab.sim().run_until(1500_us);
+  }
+  void run() { exp->fab().sim().run_until(1500_us); }
+
+  std::unique_ptr<harness::Experiment> exp;
+  std::unique_ptr<workload::PoissonFlowGenerator> gen;  ///< Destroyed before exp.
+};
+
+/// Only the run phase is timed: construction and teardown run with timing
+/// paused, so the number reads the run loop, not how the allocator happens
+/// to trim the heap between iterations.
+void BM_Fig17Slice(benchmark::State& state) {
+  for (auto _ : state) {
     state.PauseTiming();
-    benchmark::DoNotOptimize(fab.sim().events_processed());
-    gen.reset();
-    exp.reset();
+    auto slice = std::make_unique<Fig17Slice>(false);
+    state.ResumeTiming();
+    slice->run();
+    state.PauseTiming();
+    benchmark::DoNotOptimize(slice->exp->fab().sim().events_processed());
+    slice.reset();
     state.ResumeTiming();
   }
 }
 BENCHMARK(BM_Fig17Slice)->Unit(benchmark::kMillisecond);
+
+/// The profiler-overhead guard's sample (scripts/run_perf.sh; run with
+/// UFAB_PROF unset): each iteration runs the Fig17Slice run phase once with
+/// the profiler off and once with it on, back to back in one process, the
+/// first side alternating from iteration to iteration.  Host speed drift
+/// slower than a pair and per-process effects (heap and address layout)
+/// then hit both sides alike.  Reports each side's mean run phase.
+void BM_ProfOverheadPair(benchmark::State& state) {
+  double ms[2] = {0.0, 0.0};  // [off, on]
+  std::int64_t pairs = 0;
+  for (auto _ : state) {
+    for (const bool on : {pairs % 2 == 1, pairs % 2 == 0}) {
+      Fig17Slice slice(on);
+      const auto t0 = std::chrono::steady_clock::now();
+      slice.run();
+      ms[on ? 1 : 0] +=
+          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+      benchmark::DoNotOptimize(slice.exp->fab().sim().events_processed());
+    }
+    ++pairs;
+  }
+  state.counters["off_ms"] = ms[0] / static_cast<double>(pairs);
+  state.counters["on_ms"] = ms[1] / static_cast<double>(pairs);
+}
+BENCHMARK(BM_ProfOverheadPair)->Iterations(16)->Unit(benchmark::kMillisecond);
 
 /// One busy link delivering bursts end to end, plain pipe vs the same pipe
 /// with wire-exit events (Arg: 1 = plain, 0 = wire-exit events, the option

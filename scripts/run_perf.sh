@@ -10,11 +10,12 @@
 #     never null, even on single-CPU hosts;
 #   * sweep parallelism — the full k=4 grid, UFAB_JOBS=1 vs all cores
 #     (full lane only);
-#   * profiler overhead — BM_Fig17Slice with UFAB_PROF=0 vs =1, guarded:
-#     the lane FAILS if enabling the profiler costs more than
-#     UFAB_PROF_GUARD_PCT percent (default 5).  The benchmark times only the
-#     run phase (run_until), where all of the profiler's cost lands; setup
-#     and teardown run with timing paused.
+#   * profiler overhead — BM_ProfOverheadPair: the BM_Fig17Slice run phase
+#     with the profiler off and on, back to back in one process, the first
+#     side alternating pair by pair; 8 rounds, one process each; guarded:
+#     the lane FAILS if the median of the rounds' paired overheads exceeds
+#     UFAB_PROF_GUARD_PCT percent (default 5).  Only the run phase
+#     (run_until) is timed, where all of the profiler's cost lands.
 #
 # The full lane additionally records a shard-scaling grid (UFAB_SHARDS=2/4/8
 # single-round wall clocks on the k=8 cell) and a first fig17 k=16 row
@@ -69,48 +70,55 @@ if [[ "${SMOKE}" == "1" ]]; then MIN_TIME=0.05; fi
 "${BUILD_DIR}/bench/micro_datastructures" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_out="${MICRO_JSON}" --benchmark_out_format=json \
-  --benchmark_filter='BM_(EventQueue|EventQueueBurst|EventQueueFarHorizon|EventQueueSparse|ShardMailbox|MailboxBatch|EpochBarrier|AdaptiveEpoch|PacketMake|CoreAgentProbe|Fig17Slice|ProfScope|WfqNext|WfqNextSparse)'
+  --benchmark_filter='BM_(EventQueue|EventQueueBurst|EventQueueFarHorizon|EventQueueSparse|ShardMailbox|MailboxBatch|EpochBarrier|AdaptiveEpoch|PacketMake|CoreAgentProbe|Fig17Slice|ProfScope|WfqNext|WfqNextSparse|Bloom|LinkPipelineHop|FlatFib|IntEncodeInline|TokenAssignment)'
 
-# Runs BM_Fig17Slice once under the given UFAB_PROF level and prints its
-# real_time in milliseconds.  The guard always uses a 0.2 s min-time (even in
-# smoke) — at the smoke min-time the iteration count is too small for a
-# stable 5% comparison.
-fig17_slice_ms() {
-  env UFAB_PROF="$1" "${BUILD_DIR}/bench/micro_datastructures" \
-    --benchmark_min_time=0.2 \
+# Runs BM_ProfOverheadPair once (one round: 16 adjacent off/on pairs in one
+# process) and prints the round's mean run phase per side in milliseconds,
+# "off on".  UFAB_PROF stays unset: the benchmark attaches the profiler to
+# the "on" side itself.
+prof_pair_ms() {
+  env -u UFAB_PROF "${BUILD_DIR}/bench/micro_datastructures" \
     --benchmark_out="${GUARD_JSON}" --benchmark_out_format=json \
-    --benchmark_filter='BM_Fig17Slice$' >/dev/null
+    --benchmark_filter='^BM_ProfOverheadPair/' >/dev/null
   python3 -c '
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 for b in doc["benchmarks"]:
-    if b["name"] == "BM_Fig17Slice":
-        print("%.4f" % b["real_time"])
+    if b["name"].startswith("BM_ProfOverheadPair"):
+        print("%.4f %.4f" % (b["off_ms"], b["on_ms"]))
         break
 ' "${GUARD_JSON}"
 }
 
-# Profiler overhead guard: interleaved min-of-3 of the engine slice's run
-# phase, profiler off vs on.  Runs in smoke too — it is the cheapest place
-# to catch an accidentally hot profiling path.
+# Profiler overhead guard: 8 rounds of BM_ProfOverheadPair.  A round's
+# overhead is (on - off) / off over its own adjacent pairs, so host speed
+# drift slower than a pair and per-process layout effects cancel, and the
+# alternating first side keeps a first-runs-faster bias off both; the gate
+# is the median of the rounds' overheads.  Runs in smoke too — it is the
+# cheapest place to catch an accidentally hot profiling path.
 guard_pct="${UFAB_PROF_GUARD_PCT:-5}"
+guard_rounds=8
 off_samples=""
 on_samples=""
-for i in 1 2 3; do
-  echo "[perf] prof guard, round ${i}/3: UFAB_PROF=0 ..." >&2
-  off_samples+="${off_samples:+,}$(fig17_slice_ms 0)"
-  echo "[perf] prof guard, round ${i}/3: UFAB_PROF=1 ..." >&2
-  on_samples+="${on_samples:+,}$(fig17_slice_ms 1)"
+for ((i = 1; i <= guard_rounds; ++i)); do
+  echo "[perf] prof guard, round ${i}/${guard_rounds} ..." >&2
+  read -r off on <<<"$(prof_pair_ms)"
+  off_samples+="${off_samples:+,}${off}"
+  on_samples+="${on_samples:+,}${on}"
 done
 prof_overhead=$(python3 -c '
-import sys
-off = min(float(x) for x in sys.argv[1].split(","))
-on = min(float(x) for x in sys.argv[2].split(","))
-print("%.2f %.4f %.4f" % (100.0 * (on - off) / off if off > 0 else 0.0, off, on))
+import statistics, sys
+off = [float(x) for x in sys.argv[1].split(",")]
+on = [float(x) for x in sys.argv[2].split(",")]
+pcts = [100.0 * (b - a) / a if a > 0 else 0.0 for a, b in zip(off, on)]
+for i, (a, b, pct) in enumerate(zip(off, on, pcts), 1):
+    print("[perf] prof guard, round %d: off=%.4fms on=%.4fms overhead=%.2f%%" % (i, a, b, pct),
+          file=sys.stderr)
+print("%.2f %.4f %.4f" % (statistics.median(pcts), statistics.median(off), statistics.median(on)))
 ' "${off_samples}" "${on_samples}")
 read -r overhead_pct off_ms on_ms <<<"${prof_overhead}"
-echo "[perf] prof guard: BM_Fig17Slice off=${off_ms}ms on=${on_ms}ms overhead=${overhead_pct}% (limit ${guard_pct}%)" >&2
+echo "[perf] prof guard: median paired overhead ${overhead_pct}% over ${guard_rounds} rounds (limit ${guard_pct}%; median off=${off_ms}ms on=${on_ms}ms)" >&2
 if python3 -c 'import sys; sys.exit(0 if float(sys.argv[1]) > float(sys.argv[2]) else 1)' \
     "${overhead_pct}" "${guard_pct}"; then
   echo "[perf] FAIL: profiler overhead ${overhead_pct}% exceeds ${guard_pct}%" >&2
@@ -263,14 +271,14 @@ python3 - "$MICRO_JSON" "$OUT" "$serial_samples" "$sharded_samples" \
   "$jobs1_samples" "$jobsN_samples" "$jobs" "$shards_ab" \
   "$serial_profile" "$sharded_profile" "$overhead_pct" \
   "$off_ms" "$on_ms" "$guard_pct" "$prof_k" "$cpus_online" "$grid_entries" \
-  "$k16_wall" "$k16_profile" "$speedup_floor" <<'PY'
+  "$k16_wall" "$k16_profile" "$speedup_floor" "$off_samples" "$on_samples" <<'PY'
 import json, platform, sys
 
 (micro_path, out_path, serial_s, sharded_s,
  jobs1_s, jobsN_s, jobs, shards_ab,
  serial_profile, sharded_profile, overhead_pct, off_ms, on_ms,
  guard_pct, prof_k, cpus_online, grid_entries, k16_wall, k16_profile,
- speedup_floor) = sys.argv[1:21]
+ speedup_floor, off_samples, on_samples) = sys.argv[1:23]
 with open(micro_path) as f:
     micro = json.load(f)
 
@@ -352,7 +360,7 @@ doc = {
              f"UFAB_PROF=1 runs of the k={prof_k} cell (see "
              "scripts/profile_report.py) and carry the per-event engine "
              "figures (events, events_per_sec, ns_per_event); prof_overhead "
-             "is the guarded BM_Fig17Slice cost of enabling the profiler.  "
+             "is the guarded BM_ProfOverheadPair cost of enabling the profiler.  "
              "guards holds the two machine-independent checks: events per "
              "delivered hop on the serial cell (the link pipe) and "
              "lookahead windows per barrier on the sharded cell.",
@@ -362,9 +370,14 @@ doc = {
     },
     "micro": entries,
     "prof_overhead": {
-        "workload": "BM_Fig17Slice run phase, UFAB_PROF=0 vs 1, interleaved min-of-3",
+        "workload": "BM_ProfOverheadPair: the BM_Fig17Slice run phase, profiler "
+                    "off vs on in adjacent pairs in one process, first side "
+                    "alternating; median of 8 rounds' overheads (one process "
+                    "of 16 pairs each); *_samples_ms are the rounds' means",
         "off_ms": float(off_ms),
         "on_ms": float(on_ms),
+        "off_samples_ms": samples(off_samples),
+        "on_samples_ms": samples(on_samples),
         "overhead_pct": float(overhead_pct),
         "guard_pct": float(guard_pct),
         "passivity": "stdout byte-identical",

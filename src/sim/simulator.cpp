@@ -31,9 +31,9 @@
 // PacketPtr into the destination calendar with its origin pool unchanged,
 // and a release on a foreign shard routes the storage home through a
 // per-(freer, owner) return mailbox (PacketPool's foreign guard, armed only
-// for threaded execution).  absorb inserts through the bulk calendar path
-// (push_deferred + end_bulk) so a drain batch costs one heap fixup per
-// touched bucket instead of one sift per crossing.
+// for threaded execution).  absorb files keys through the bulk calendar
+// path (a deferred file_key, then end_bulk) so a drain batch costs one heap
+// fixup per touched bucket instead of one sift per crossing.
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
@@ -63,23 +63,11 @@ Simulator::~Simulator() {
   for (auto& s : shards_) s->pool.set_foreign_guard(s->index, nullptr, nullptr);
   // Ownership handoff means a shard's calendar can hold packets born in any
   // other shard's arena.  Shards destruct member-wise in index order, so
-  // shard 0's pool (and the slabs its packets live in) would be freed while
+  // shard 0's pool (and the arena its packets live in) would be freed while
   // a later shard's pending events still own packets from it.  Drop every
   // pending event here, while all pools are alive; the cross/return
   // mailboxes are declared after shards_ and already destruct first.
-  for (auto& s : shards_) {
-    for (Bucket& b : s->ring) {
-      b.heap.clear();
-      b.slots.clear();
-      b.fixup_from = Bucket::kNoFixup;
-    }
-    s->overflow.heap.clear();
-    s->overflow.slots.clear();
-    s->overflow.free_idx.clear();
-    s->ring_size = 0;
-    std::fill(std::begin(s->occupied), std::end(s->occupied), std::uint64_t{0});
-    s->touched.clear();
-  }
+  for (auto& s : shards_) s->slab.clear();
 }
 
 std::uint64_t Simulator::occupied_distance_far(const Shard& s, std::uint64_t from) {
@@ -312,7 +300,7 @@ void Simulator::absorb(int src, int dst) {
   Shard& d = *shards_[static_cast<std::size_t>(dst)];
   cross_ch(src, dst).drain([&d](Crossing&& c) {
     UFAB_CHECK_MSG(c.at >= d.now, "cross-shard crossing violates the lookahead bound");
-    push_deferred(d, c.at, c.h, c.k, UniqueFunction(DeliverEvent{c.dst, std::move(c.pkt)}));
+    file_key(d, slab_put(d, c.at, c.h, c.k, DeliverEvent{c.dst, std::move(c.pkt)}), true);
   });
   ret_ch(src, dst).drain([](Packet*&& p) { p->origin_pool->put_direct(p); });
 }
@@ -377,6 +365,7 @@ void Simulator::run_to(TimeNs t) {
   if (prof_ != nullptr) prof_->add_run_wall(obs::ProfClock::now() - wall_t0);
 #ifndef NDEBUG
   audit_occupancy();
+  audit_slab();
 #endif
 }
 

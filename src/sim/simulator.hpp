@@ -7,15 +7,16 @@
 // Each shard's list is a two-tier bucketed calendar queue rather than one
 // global binary heap.  Near-horizon events (within ~0.5 ms of `now`) land in
 // a ring of 512 ns time buckets; far-horizon events go to an overflow tier
-// and migrate into the ring as the clock approaches them.  Each bucket keeps
-// its events in an append-only slot vector (reset whenever the bucket drains,
-// which at 512 ns a bucket is constantly) and orders them through a small
+// and migrate into the ring as the clock approaches them.  Every pending
+// event of a shard, in either tier, lives in one slab whose freed slots go on
+// a LIFO free list, so the slab stays at the shard's peak pending count and a
+// push reuses the slot the last pop left warm.  A bucket holds only a small
 // heap of (time, h, k, slot) keys — sifts compare and move 24-byte keys
-// without touching the events themselves, and a closure is moved exactly once
-// in (into its slot) and once out (when it fires).  A 1024-bit occupancy
-// bitmap beside the ring marks the non-empty buckets, so finding the next
-// event across idle simulated time costs one count-trailing-zeros per 64
-// buckets instead of a step per empty bucket.
+// without touching the events, migration moves a key, and a closure is moved
+// exactly once in (into its slot) and once out (when it fires).  A 1024-bit
+// occupancy bitmap beside the ring marks the non-empty buckets, so finding
+// the next event across idle simulated time costs one count-trailing-zeros
+// per 64 buckets instead of a step per empty bucket.
 //
 // Ordering is canonical: h is a mixed 64-bit identity of the *scheduling
 // parent* (the event whose closure called at()/after(), or a fixed root id
@@ -26,8 +27,8 @@
 // fire events in exactly the same order.  Within one parent, ties keep FIFO
 // order (k increments); across parents at the same instant, the mixed
 // identity is the arbiter.  (A 64-bit hash collision between two distinct
-// parents scheduling at the same nanosecond would fall through to the slot
-// index; at fig17 scale the probability is ~1e-10 per run and any such run
+// parents scheduling at the same nanosecond would fall through to the slab
+// slot; at fig17 scale the probability is ~1e-10 per run and any such run
 // would still be deterministic, just not provably shard-count-invariant.)
 //
 // Sharded execution (configure_shards(n > 1)) is conservative parallel DES
@@ -326,6 +327,11 @@ class Simulator {
     return total;
   }
   [[nodiscard]] const PacketPool& shard_pool(int shard) const { return shard_at(shard).pool; }
+  /// Event slots `shard`'s calendar holds, live or free: its peak pending
+  /// event count so far.
+  [[nodiscard]] std::size_t shard_event_slots(int shard) const {
+    return shard_at(shard).slab.size();
+  }
 
   // --- engine self-profiling (see src/obs/profiler.hpp) ---
 
@@ -370,7 +376,7 @@ class Simulator {
     UniqueFunction fn;
   };
 
-  /// Bucket-heap key: the event's full order key plus its slot index, so
+  /// Bucket-heap key: the event's full order key plus its slab slot, so
   /// sifting compares and moves these 24-byte entries only and never touches
   /// the (much larger) events.
   struct HeapEntry {
@@ -380,23 +386,12 @@ class Simulator {
     std::uint32_t idx;
   };
 
-  /// One calendar bucket: `heap` is a binary min-heap of HeapEntry keys over
-  /// the events stored in `slots`.  For ring buckets, slots are append-only
-  /// while the bucket has pending events and the vector resets (keeping
-  /// capacity) every time the bucket drains; at 512 ns per bucket that
-  /// happens constantly, so `slots` stays small and a steady-state bucket
-  /// allocates nothing.  The overflow tier instead recycles dead slots
-  /// through `free_idx` (see bucket_push<kRecycle>): recurring timers can
-  /// keep its heap non-empty for an entire run, so without reuse the slot
-  /// vector would grow with every far-scheduled event.  Recycling costs a
-  /// branch per push/pop, which measured slower on the ring hot path —
-  /// hence the compile-time split.
+  /// One calendar bucket: a binary min-heap of HeapEntry keys whose events
+  /// live in the shard's slab.
   struct Bucket {
     static constexpr std::uint32_t kNoFixup = 0xFFFFFFFFu;
 
-    std::vector<Event> slots;
     std::vector<HeapEntry> heap;
-    std::vector<std::uint32_t> free_idx;  ///< Overflow tier only: dead slots.
     /// Bulk-insert marker: heap size before the first deferred append of the
     /// current drain batch (kNoFixup when no fixup is pending).  Entries at
     /// or past it are appended un-heapified and restored in one end_bulk()
@@ -435,11 +430,16 @@ class Simulator {
     std::vector<Bucket> ring;
     std::size_t ring_size = 0;
     std::uint64_t cursor = 0;     ///< No ring events live in buckets before this.
-    /// Bit i set iff ring[i] holds events: set by ring_push/push_deferred,
-    /// cleared by ring_pop when a pop empties the bucket.
+    /// Bit i set iff ring[i] holds events: set by file_key, cleared by
+    /// ring_pop when a pop empties the bucket.
     std::uint64_t occupied[kOccupancyWords] = {};
     bool peeked_overflow = false;  ///< Tier of the last peek() result.
     Bucket overflow;
+    /// Every pending event of both tiers; a key's idx names its slot.  Freed
+    /// slots go on a LIFO list, so the slab stays at the peak pending count
+    /// and the next push reuses the slot the last pop left warm.
+    std::vector<Event> slab;
+    std::vector<std::uint32_t> free_slots;
 
     /// Time of the last event this shard ran (clocks park past it at rung
     /// ends; a drain parks every clock at the latest one).
@@ -476,91 +476,76 @@ class Simulator {
     }
   };
 
-  template <bool kRecycle>
-  static void bucket_push(Bucket& b, TimeNs t, std::uint64_t h, std::uint32_t k,
-                          UniqueFunction&& fn) {
-    auto idx = static_cast<std::uint32_t>(b.slots.size());
-    if constexpr (kRecycle) {
-      if (!b.free_idx.empty()) {
-        idx = b.free_idx.back();
-        b.free_idx.pop_back();
-        b.slots[idx] = Event{t, h, k, std::move(fn)};
-      } else {
-        b.slots.emplace_back(t, h, k, std::move(fn));
-      }
-    } else {
-      b.slots.emplace_back(t, h, k, std::move(fn));
-    }
-    b.heap.push_back(HeapEntry{t.ns(), h, k, idx});
-    std::push_heap(b.heap.begin(), b.heap.end(), Later{});
-  }
-
-  template <bool kRecycle>
-  static Event bucket_pop(Bucket& b) {
-    std::pop_heap(b.heap.begin(), b.heap.end(), Later{});
-    const std::uint32_t idx = b.heap.back().idx;
-    Event ev = std::move(b.slots[idx]);
-    b.heap.pop_back();
-    if (b.heap.empty()) {
-      b.slots.clear();  // keeps capacity
-      if constexpr (kRecycle) b.free_idx.clear();
-    } else if constexpr (kRecycle) {
-      b.free_idx.push_back(idx);
-    }
-    return ev;
-  }
-
   static void mark_occupied(Shard& s, std::uint64_t i) {
     s.occupied[i >> 6] |= std::uint64_t{1} << (i & 63);
   }
 
-  static void ring_push(Shard& s, std::uint64_t ab, TimeNs t, std::uint64_t h, std::uint32_t k,
-                        UniqueFunction&& fn) {
+  /// Moves an event into a slab slot (the last one freed, else a new one) and
+  /// returns its key.  May grow the slab.
+  static HeapEntry slab_put(Shard& s, TimeNs t, std::uint64_t h, std::uint32_t k,
+                            UniqueFunction&& fn) {
+    if (s.free_slots.empty()) {
+      s.slab.emplace_back(t, h, k, std::move(fn));
+      return HeapEntry{t.ns(), h, k, static_cast<std::uint32_t>(s.slab.size() - 1)};
+    }
+    const std::uint32_t idx = s.free_slots.back();
+    s.free_slots.pop_back();
+    Event& ev = s.slab[idx];
+    ev.at = t;
+    ev.h = h;
+    ev.k = k;
+    ev.fn = std::move(fn);
+    return HeapEntry{t.ns(), h, k, idx};
+  }
+
+  static void heap_push(Bucket& b, const HeapEntry& e) {
+    b.heap.push_back(e);
+    std::push_heap(b.heap.begin(), b.heap.end(), Later{});
+  }
+
+  /// Pops `b`'s earliest key and moves its event out of the freed slot.
+  static Event bucket_pop(Shard& s, Bucket& b) {
+    std::pop_heap(b.heap.begin(), b.heap.end(), Later{});
+    const std::uint32_t idx = b.heap.back().idx;
+    b.heap.pop_back();
+    s.free_slots.push_back(idx);
+    return std::move(s.slab[idx]);
+  }
+
+  /// Files a key into its tier: the overflow heap past the near window, else
+  /// its ring bucket — sifted in, or (`deferred`, the bulk path of mailbox
+  /// drains) appended for a later end_bulk(), which MUST run before any
+  /// peek()/pop on this shard.
+  static void file_key(Shard& s, const HeapEntry& e, bool deferred = false) {
+    const std::uint64_t ab = abs_bucket(TimeNs{e.at});
+    if (ab >= abs_bucket(s.now) + kNumBuckets) {
+      heap_push(s.overflow, e);
+      return;
+    }
     const std::uint64_t i = ab & (kNumBuckets - 1);
-    bucket_push<false>(s.ring[i], t, h, k, std::move(fn));
+    Bucket& b = s.ring[i];
+    if (!deferred) {
+      heap_push(b, e);
+    } else {
+      if (b.fixup_from == Bucket::kNoFixup) {
+        b.fixup_from = static_cast<std::uint32_t>(b.heap.size());
+        s.touched.push_back(&b);
+      }
+      b.heap.push_back(e);
+    }
     mark_occupied(s, i);
     ++s.ring_size;
     if (ab < s.cursor) s.cursor = ab;
   }
 
   static void push(Shard& s, TimeNs t, std::uint64_t h, std::uint32_t k, UniqueFunction&& fn) {
-    const std::uint64_t ab = abs_bucket(t);
-    if (ab >= abs_bucket(s.now) + kNumBuckets) {
-      bucket_push<true>(s.overflow, t, h, k, std::move(fn));
-    } else {
-      ring_push(s, ab, t, h, k, std::move(fn));
-    }
+    file_key(s, slab_put(s, t, h, k, std::move(fn)));
   }
 
-  /// Bulk-insert path for mailbox drains: appends the event without sifting
-  /// its heap entry and marks the bucket for a deferred fixup.  The caller
-  /// MUST run end_bulk() before any peek()/pop on this shard.  Far-horizon
-  /// events (rare for crossings) take the ordinary overflow push.
-  static void push_deferred(Shard& s, TimeNs t, std::uint64_t h, std::uint32_t k,
-                            UniqueFunction&& fn) {
-    const std::uint64_t ab = abs_bucket(t);
-    if (ab >= abs_bucket(s.now) + kNumBuckets) {
-      bucket_push<true>(s.overflow, t, h, k, std::move(fn));
-      return;
-    }
-    const std::uint64_t i = ab & (kNumBuckets - 1);
-    Bucket& b = s.ring[i];
-    if (b.fixup_from == Bucket::kNoFixup) {
-      b.fixup_from = static_cast<std::uint32_t>(b.heap.size());
-      s.touched.push_back(&b);
-    }
-    const auto idx = static_cast<std::uint32_t>(b.slots.size());
-    b.slots.emplace_back(t, h, k, std::move(fn));
-    b.heap.push_back(HeapEntry{t.ns(), h, k, idx});
-    mark_occupied(s, i);
-    ++s.ring_size;
-    if (ab < s.cursor) s.cursor = ab;
-  }
-
-  /// Restores the heap property of every bucket push_deferred touched.  Small
-  /// batches sift the appended entries one by one; a batch that rivals the
-  /// bucket's population rebuilds the whole heap in O(n).  Pop order is the
-  /// strict (at, h, k, idx) total order either way, so heap layout never
+  /// Restores the heap property of every bucket a deferred file_key touched.
+  /// Small batches sift the appended entries one by one; a batch that rivals
+  /// the bucket's population rebuilds the whole heap in O(n).  Pop order is
+  /// the strict (at, h, k, idx) total order either way, so heap layout never
   /// leaks into the schedule.
   static void end_bulk(Shard& s) {
     for (Bucket* b : s.touched) {
@@ -579,17 +564,17 @@ class Simulator {
     s.touched.clear();
   }
 
-  /// Pulls overflow events that now fall inside the near-horizon window into
-  /// the ring.  Overflow is ordered, so this stops at the first far event.
+  /// Moves the keys of overflow events that now fall inside the near-horizon
+  /// window into the ring; their events stay in their slots.  Overflow is
+  /// ordered, so this stops at the first far event.
   static void migrate_overflow(Shard& s) {
     if (s.overflow.empty()) return;  // the common case: nothing far-scheduled
     const std::uint64_t window_end = abs_bucket(s.now) + kNumBuckets;
-    while (!s.overflow.empty()) {
-      const HeapEntry& top = s.overflow.heap.front();
-      const std::uint64_t ab = abs_bucket(TimeNs{top.at});
-      if (ab >= window_end) break;
-      Event ev = bucket_pop<true>(s.overflow);
-      ring_push(s, ab, ev.at, ev.h, ev.k, std::move(ev.fn));
+    while (!s.overflow.empty() && abs_bucket(TimeNs{s.overflow.heap.front().at}) < window_end) {
+      std::pop_heap(s.overflow.heap.begin(), s.overflow.heap.end(), Later{});
+      const HeapEntry e = s.overflow.heap.back();
+      s.overflow.heap.pop_back();
+      file_key(s, e);
     }
   }
 
@@ -608,7 +593,8 @@ class Simulator {
 
   /// The earliest pending event, or nullptr.  Advances the bucket cursor to
   /// the next occupied bucket; `peeked_overflow` records which tier holds
-  /// the result.
+  /// the result.  The pointer is into the slab, which any push may grow:
+  /// never use it after a push.
   [[nodiscard]] static const Event* peek(Shard& s) {
     migrate_overflow(s);
     if (s.ring_size > 0) {
@@ -618,14 +604,13 @@ class Simulator {
       if (s.cursor < abs_bucket(s.now)) s.cursor = abs_bucket(s.now);
       s.cursor += occupied_distance(s, s.cursor & (kNumBuckets - 1));
       s.peeked_overflow = false;
-      const Bucket& b = s.ring[s.cursor & (kNumBuckets - 1)];
-      return &b.slots[b.heap.front().idx];
+      return &s.slab[s.ring[s.cursor & (kNumBuckets - 1)].heap.front().idx];
     }
     if (!s.overflow.empty()) {
       // Every within-window event has migrated, so the overflow top — which
       // lies beyond the window — is the global earliest.
       s.peeked_overflow = true;
-      return &s.overflow.slots[s.overflow.heap.front().idx];
+      return &s.slab[s.overflow.heap.front().idx];
     }
     return nullptr;
   }
@@ -633,7 +618,7 @@ class Simulator {
   /// Removes the event `peek()` just located from its tier and advances the
   /// clock to it.  One named result, so the event is never moved twice.
   [[nodiscard]] static Event pop_peeked(Shard& s) {
-    Event ev = s.peeked_overflow ? bucket_pop<true>(s.overflow) : ring_pop(s);
+    Event ev = s.peeked_overflow ? bucket_pop(s, s.overflow) : ring_pop(s);
     s.now = ev.at;
     ++s.processed;
     return ev;
@@ -645,7 +630,7 @@ class Simulator {
   [[nodiscard]] static Event ring_pop(Shard& s) {
     const std::uint64_t i = s.cursor & (kNumBuckets - 1);
     Bucket& b = s.ring[i];
-    Event ev = bucket_pop<false>(b);
+    Event ev = bucket_pop(s, b);
     if (b.empty()) s.occupied[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
     --s.ring_size;
     return ev;
@@ -676,6 +661,28 @@ class Simulator {
         UFAB_CHECK_MSG(bit == !s->ring[i].empty(),
                        "calendar occupancy bit out of sync with its bucket");
       }
+    }
+  }
+
+  /// Debug contract: every slab slot is named by exactly one key (in a ring
+  /// bucket or the overflow heap) or sits on the free list — never both,
+  /// never neither.  Checked where audit_occupancy is.
+  void audit_slab() const {
+    for (const auto& s : shards_) {
+      std::vector<std::uint8_t> claimed(s->slab.size(), 0);
+      std::size_t claims = 0;
+      const auto claim = [&](std::uint32_t idx) {
+        UFAB_CHECK_MSG(idx < claimed.size() && claimed[idx] == 0,
+                       "calendar slab slot both keyed and free, or keyed twice");
+        claimed[idx] = 1;
+        ++claims;
+      };
+      for (const Bucket& b : s->ring) {
+        for (const HeapEntry& e : b.heap) claim(e.idx);
+      }
+      for (const HeapEntry& e : s->overflow.heap) claim(e.idx);
+      for (const std::uint32_t idx : s->free_slots) claim(idx);
+      UFAB_CHECK_MSG(claims == claimed.size(), "calendar slab slot neither keyed nor free");
     }
   }
 #endif

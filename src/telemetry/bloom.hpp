@@ -4,6 +4,13 @@
 // distinct VM-pairs at <5% false positives (§4.2).  We implement a counting
 // variant (4-bit saturating counters) so that explicit finish probes can
 // remove entries, which the plain bit-vector form cannot.
+//
+// The modelled filter has cfg.counters cells, but a port in the repo's runs
+// holds at most a few thousand non-zero ones, so only those are stored: an
+// open-addressed table keyed by cell index (linear probing, backward-shift
+// deletion, grown at half load).  A cell's count, and so every answer and
+// the false-positive behaviour, is exactly the dense array's; memory is
+// O(non-zero cells) instead of one byte per configured cell.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +43,8 @@ class CountingBloomFilter {
   [[nodiscard]] bool maybe_contains(std::uint64_t key) const;
 
   [[nodiscard]] std::size_t inserted_count() const { return inserted_; }
-  [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
+  /// Configured cells (the modelled SRAM), not the non-zero ones stored.
+  [[nodiscard]] std::size_t counter_count() const { return cfg_.counters; }
 
   /// Analytic false-positive probability at the current fill level.
   [[nodiscard]] double false_positive_rate() const;
@@ -44,10 +52,24 @@ class CountingBloomFilter {
   void clear();
 
  private:
+  /// A non-zero counter: its cell index and count.  count == 0 marks an
+  /// empty table slot.
+  struct Cell {
+    std::uint32_t index;
+    std::uint32_t count;
+  };
+
   [[nodiscard]] std::size_t slot(std::uint64_t key, int i) const;
+  /// Table position of `cell`'s entry, or of the empty slot that ends its
+  /// probe run.  Requires a non-empty table.
+  [[nodiscard]] std::size_t find(std::uint32_t cell) const;
+  void increment(std::uint32_t cell);
+  void decrement(std::uint32_t cell);
+  void grow();
 
   BloomConfig cfg_;
-  std::vector<std::uint8_t> counters_;
+  std::vector<Cell> table_;  ///< Power-of-two size, at most half full.
+  std::size_t live_ = 0;     ///< Non-zero counters in table_.
   std::size_t inserted_ = 0;
 };
 

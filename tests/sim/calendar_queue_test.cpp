@@ -205,8 +205,8 @@ class ArrivalLog final : public Node {
 
 TEST(CalendarQueue, ShardedCrossingsLandInEmptyBuckets) {
   // Shard 0 runs a sparse chain; every step hands a packet to shard 1, which
-  // holds nothing else, so each crossing is bulk-inserted (push_deferred)
-  // into an empty ring bucket — or, when it lands more than a ring ahead of
+  // holds nothing else, so each crossing is bulk-inserted (a deferred
+  // file_key) into an empty ring bucket — or, when it lands more than a ring ahead of
   // shard 1's clock, into the overflow tier.  Both executors must deliver
   // every packet at its posted time, in time order.
   constexpr std::int64_t kLookahead = 2'000;
@@ -295,7 +295,7 @@ TEST(CalendarQueue, CursorRewindsForEarlierEvent) {
 TEST(CalendarQueue, RecurringTimerCrossesWindowRepeatedly) {
   Simulator sim;
   // A self-rescheduling timer beyond the window exercises overflow push,
-  // migration, and the overflow tier's slot-recycling path on every tick.
+  // migration, and the slab's free list on every tick.
   int ticks = 0;
   struct Timer {
     Simulator& sim;
@@ -310,6 +310,39 @@ TEST(CalendarQueue, RecurringTimerCrossesWindowRepeatedly) {
   EXPECT_EQ(ticks, 200);
   EXPECT_EQ(sim.now(), TimeNs{200 * 700'000});
   EXPECT_EQ(sim.events_processed(), 200u);
+}
+
+TEST(CalendarQueue, SlabStaysAtPeakPending) {
+  // Three chains 1-3 ns apart fire 120k events through ~130 adjacent
+  // buckets, each of which takes ~900 events before it drains, and
+  // a far timer keeps one event in the overflow tier: never more than four
+  // pending.  The slab holds events, not bucket history, so it must stay at
+  // four slots however many events each bucket takes before it drains.
+  constexpr int kEvents = 120'000;
+  Simulator sim;
+  int fired = 0;
+  struct Chain {
+    Simulator& sim;
+    int& fired;
+    std::int64_t step;
+    void fire() {
+      if (++fired < kEvents) sim.after(TimeNs{step}, [this] { fire(); });
+    }
+  };
+  std::vector<Chain> chains{{sim, fired, 1}, {sim, fired, 2}, {sim, fired, 3},
+                            {sim, fired, 700'000}};
+  for (Chain& c : chains) sim.at(TimeNs{1}, [&c] { c.fire(); });
+  EXPECT_EQ(sim.shard_event_slots(0), 4u);
+  for (std::int64_t until = 5'000; fired < kEvents; until += 5'000) {
+    sim.run_until(TimeNs{until});
+    EXPECT_LE(sim.pending(), 4u);
+    ASSERT_EQ(sim.shard_event_slots(0), 4u) << "at " << until << " ns";
+  }
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), static_cast<std::uint64_t>(fired));
+  EXPECT_GE(fired, kEvents);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.shard_event_slots(0), 4u);
 }
 
 TEST(CalendarQueue, RunUntilBoundaryIsInclusive) {

@@ -1,4 +1,11 @@
 // Unit tests for the informative core: Bloom filter and CoreAgent registers.
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/sim/link.hpp"
@@ -51,6 +58,130 @@ TEST(Bloom, CountingSurvivesSharedSlots) {
   int present = 0;
   for (std::uint64_t k = 20; k < 40; ++k) present += bloom.maybe_contains(k) ? 1 : 0;
   EXPECT_EQ(present, 20);
+}
+
+/// The dense filter the sparse table replaced — one byte per configured
+/// cell, zero-filled up front — kept as the reference it must match.
+class DenseBloom {
+ public:
+  explicit DenseBloom(BloomConfig cfg) : cfg_(cfg), counters_(cfg.counters, 0) {}
+
+  void insert(std::uint64_t key) {
+    for (int i = 0; i < cfg_.hashes; ++i) {
+      std::uint8_t& c = counters_[slot(key, i)];
+      if (c < 15) ++c;
+    }
+    ++inserted_;
+  }
+  void remove(std::uint64_t key) {
+    for (int i = 0; i < cfg_.hashes; ++i) {
+      std::uint8_t& c = counters_[slot(key, i)];
+      if (c > 0 && c < 15) --c;  // saturated counters are sticky
+    }
+    if (inserted_ > 0) --inserted_;
+  }
+  [[nodiscard]] bool maybe_contains(std::uint64_t key) const {
+    for (int i = 0; i < cfg_.hashes; ++i) {
+      if (counters_[slot(key, i)] == 0) return false;
+    }
+    return true;
+  }
+  [[nodiscard]] std::size_t inserted_count() const { return inserted_; }
+  [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
+  [[nodiscard]] double false_positive_rate() const {
+    const double bank =
+        static_cast<double>(counters_.size()) / static_cast<double>(cfg_.hashes);
+    const double p_one = 1.0 - std::exp(-static_cast<double>(inserted_) / bank);
+    return std::pow(p_one, cfg_.hashes);
+  }
+  void clear() {
+    counters_.assign(counters_.size(), 0);
+    inserted_ = 0;
+  }
+  [[nodiscard]] std::size_t slot(std::uint64_t key, int i) const {
+    std::uint64_t x = key ^ (0xabcdef12u + static_cast<std::uint64_t>(i) * 0x9e37ULL);
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    const std::size_t bank_size = counters_.size() / static_cast<std::size_t>(cfg_.hashes);
+    return static_cast<std::size_t>(i) * bank_size + x % bank_size;
+  }
+
+ private:
+  BloomConfig cfg_;
+  std::vector<std::uint8_t> counters_;
+  std::size_t inserted_ = 0;
+};
+
+/// Drives the sparse filter and the dense reference through one seeded
+/// script — fresh inserts, inserts of keys that share a cell with a live
+/// key, one key inserted 15-20 times (past saturation), removes of live keys
+/// (colliding and saturated ones included) and clears — and compares every
+/// observable after each step.  Returns the first mismatch, or "".
+std::string diff_sparse_against_dense(BloomConfig cfg, std::uint64_t seed) {
+  CountingBloomFilter sparse(cfg);
+  DenseBloom dense(cfg);
+  std::mt19937_64 rng(seed);
+  constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << 40) - 1;
+  std::vector<std::uint64_t> live;  // inserted, not yet removed (a multiset)
+  std::vector<std::uint64_t> ever;  // every key ever inserted
+  std::vector<std::uint64_t> never;
+  for (std::uint64_t i = 0; i < 64; ++i) never.push_back((std::uint64_t{1} << 41) + i * 7919);
+
+  const auto insert = [&](std::uint64_t key, int times) {
+    for (int n = 0; n < times; ++n) {
+      sparse.insert(key);
+      dense.insert(key);
+      live.push_back(key);
+    }
+    ever.push_back(key);
+  };
+  constexpr int kSteps = 2000;
+  for (int step = 0; step < kSteps; ++step) {
+    const std::uint64_t op = rng() % 100;
+    if (step == kSteps / 2 || op == 99) {
+      sparse.clear();
+      dense.clear();
+      live.clear();
+    } else if (op < 50 || live.empty()) {
+      insert(rng() & kKeyMask, 1);
+    } else if (op < 60) {
+      const std::uint64_t target = live[rng() % live.size()];
+      const int bank = static_cast<int>(rng() % static_cast<std::uint64_t>(cfg.hashes));
+      std::uint64_t key = rng() & kKeyMask;
+      while (dense.slot(key, bank) != dense.slot(target, bank)) key = rng() & kKeyMask;
+      insert(key, 1);
+    } else if (op < 63) {
+      insert(rng() & kKeyMask, 15 + static_cast<int>(rng() % 6));
+    } else {
+      const std::size_t i = rng() % live.size();
+      sparse.remove(live[i]);
+      dense.remove(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    std::ostringstream why;
+    for (const std::vector<std::uint64_t>* keys : {&ever, &never}) {
+      for (const std::uint64_t key : *keys) {
+        if (sparse.maybe_contains(key) != dense.maybe_contains(key)) {
+          why << "maybe_contains(" << key << ") ";
+          break;
+        }
+      }
+    }
+    if (sparse.inserted_count() != dense.inserted_count()) why << "inserted_count ";
+    if (sparse.counter_count() != dense.counter_count()) why << "counter_count ";
+    if (sparse.false_positive_rate() != dense.false_positive_rate()) why << "false_positive_rate ";
+    if (!why.str().empty()) return "step " + std::to_string(step) + ": " + why.str();
+  }
+  return "";
+}
+
+TEST(Bloom, SparseTableMatchesDenseReference) {
+  for (const BloomConfig cfg : {BloomConfig{32, 2}, BloomConfig{4096, 2}, BloomConfig{}}) {
+    EXPECT_EQ(diff_sparse_against_dense(cfg, 20'220'822), "") << cfg.counters << " cells";
+  }
 }
 
 // --- CoreAgent ---
