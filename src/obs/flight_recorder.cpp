@@ -248,28 +248,36 @@ std::uint64_t FlightRecorder::recorded_total() const {
   return n;
 }
 
-std::vector<TraceEvent> FlightRecorder::events() const {
+std::vector<const TraceEvent*> FlightRecorder::ordered() const {
   // Concatenate the per-shard rings (each oldest first), then stable-sort by
   // timestamp: equal-time events keep (shard, ring position) order, so the
   // merged view is deterministic, and unchanged when only shard 0 recorded.
-  std::vector<TraceEvent> out;
+  std::vector<const TraceEvent*> out;
   out.reserve(size());
   for (const auto& r : rings_) {
     if (r == nullptr) continue;
     const std::uint64_t n = std::min<std::uint64_t>(r->total, r->buf.size());
     for (std::uint64_t i = r->total - n; i < r->total; ++i) {
-      out.push_back(r->buf[static_cast<std::size_t>(i % r->buf.size())]);
+      out.push_back(&r->buf[static_cast<std::size_t>(i % r->buf.size())]);
     }
   }
   std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
+                   [](const TraceEvent* a, const TraceEvent* b) { return a->at < b->at; });
+  return out;
+}
+
+std::vector<TraceEvent> FlightRecorder::events() const {
+  const std::vector<const TraceEvent*> order = ordered();
+  std::vector<TraceEvent> out;
+  out.reserve(order.size());
+  for (const TraceEvent* ev : order) out.push_back(*ev);
   return out;
 }
 
 std::vector<TraceEvent> FlightRecorder::events_for_pair(VmPairId pair) const {
   std::vector<TraceEvent> out;
-  for (const TraceEvent& ev : events()) {
-    if (ev.pair == pair) out.push_back(ev);
+  for (const TraceEvent* ev : ordered()) {
+    if (ev->pair == pair) out.push_back(*ev);
   }
   return out;
 }
@@ -281,11 +289,11 @@ void FlightRecorder::clear() {
 }
 
 void FlightRecorder::write_json(std::ostream& os) const {
-  const std::vector<TraceEvent> evs = events();
+  const std::vector<const TraceEvent*> evs = ordered();
   os << "{\n  \"recorded_total\": " << recorded_total() << ",\n  \"events\": [\n";
   char buf[160];
   for (std::size_t i = 0; i < evs.size(); ++i) {
-    const TraceEvent& ev = evs[i];
+    const TraceEvent& ev = *evs[i];
     std::snprintf(buf, sizeof(buf), "    {\"t_ns\": %lld, \"kind\": \"%s\", \"track\": \"%s\", ",
                   static_cast<long long>(ev.at.ns()), to_string(ev.kind),
                   default_track_name(ev.track).c_str());
@@ -296,7 +304,7 @@ void FlightRecorder::write_json(std::ostream& os) const {
 
 void FlightRecorder::write_chrome_trace(std::ostream& os, const TrackNamer& namer,
                                         const Profiler* profiler, int shard_count) const {
-  const std::vector<TraceEvent> evs = events();
+  const std::vector<const TraceEvent*> evs = ordered();
   // Schema 2 = schema 1 plus profiler counter tracks (pid 6) and this
   // explicit version key; render_trace.py uses it to catch version-mixed
   // traces (e.g. prof.* counters spliced into an old schema-1 export).
@@ -306,7 +314,8 @@ void FlightRecorder::write_chrome_trace(std::ostream& os, const TrackNamer& name
   // including the per-tenant counter tracks fed by window updates (below).
   std::map<std::pair<int, std::int64_t>, Track> tracks;
   std::set<int> pids;
-  for (const TraceEvent& ev : evs) {
+  for (const TraceEvent* e : evs) {
+    const TraceEvent& ev = *e;
     pids.insert(pid_of(ev.track.kind));
     tracks.emplace(std::make_pair(pid_of(ev.track.kind), tid_of(ev.track)), ev.track);
     if (ev.kind == EventKind::kWindowUpdate && ev.tenant.valid()) {
@@ -341,7 +350,8 @@ void FlightRecorder::write_chrome_trace(std::ostream& os, const TrackNamer& name
   // chrome://tracing / Perfetto draws each probe's causal path end to end;
   // everything else is an instant on its track.
   char head[256];
-  for (const TraceEvent& ev : evs) {
+  for (const TraceEvent* e : evs) {
+    const TraceEvent& ev = *e;
     const double ts_us = static_cast<double>(ev.at.ns()) / 1e3;
     const int pid = pid_of(ev.track.kind);
     const std::int64_t tid = tid_of(ev.track);

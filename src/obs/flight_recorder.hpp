@@ -153,6 +153,9 @@ class FlightRecorder {
     std::uint64_t total = 0;  ///< Next write slot = total % buf.size().
   };
   [[nodiscard]] Ring& ring_for(int shard);
+  /// events()' order as pointers into the rings, so exports read each event
+  /// in place instead of copying every held event first.
+  [[nodiscard]] std::vector<const TraceEvent*> ordered() const;
 
   std::size_t cap_;
   std::array<std::unique_ptr<Ring>, kMaxRings> rings_;

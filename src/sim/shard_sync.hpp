@@ -9,7 +9,9 @@
 // every published entry.  That amortizes the cross-core cache-line
 // traffic of the old per-entry vector to one line per 64 entries plus one
 // atomic per batch — the "cache-line-friendly chunks with a single size/flag
-// publish" design from DESIGN.md §12.  Between coordinator barriers the
+// publish" design from DESIGN.md §12.  Drained chunks go back to a spare
+// list on the writer's side, so a channel's memory follows what it carries
+// at once, not the total it has carried.  Between coordinator barriers the
 // usual quiesced-owner discipline applies, so the coordinator may read the
 // stats while workers are parked.
 //
@@ -50,9 +52,12 @@ namespace ufab::sim {
 ///
 /// Entry positions are 64-bit and grow monotonically (they never wrap);
 /// position p lives in slot (p / kChunkItems) % kMaxChunks of the chunk
-/// table, so the table is a ring and positions need no rewind.  Chunk
-/// storage is allocated on first touch and retained, so steady-state epochs
-/// allocate nothing.
+/// table, so the table is a ring and positions need no rewind.  Chunks are
+/// recycled: when the writer needs a chunk for an empty slot, it first moves
+/// every chunk wholly below the reader's head out of the table onto a spare
+/// list only it touches, then takes the last spare before allocating.  So a
+/// channel holds about as many chunks as it ever had in flight at once, and
+/// steady-state epochs allocate nothing.
 template <typename T>
 class ShardMailbox {
  public:
@@ -64,16 +69,18 @@ class ShardMailbox {
   ShardMailbox& operator=(const ShardMailbox&) = delete;
   ~ShardMailbox() {
     for (Chunk* c : chunks_) delete c;
+    for (Chunk* c : spare_) delete c;
   }
 
   // --- writer side ---
 
   void post(T v) {
     const std::uint64_t pos = tail_;
-    UFAB_CHECK_MSG(pos - head_.load(std::memory_order_acquire) < kChunkItems * kMaxChunks,
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    UFAB_CHECK_MSG(pos - head < kChunkItems * kMaxChunks,
                    "shard mailbox overflow: one pass posted too many crossings");
     Chunk*& slot = chunks_[(pos / kChunkItems) % kMaxChunks];
-    if (slot == nullptr) slot = new Chunk();
+    if (slot == nullptr) slot = take_chunk(head);
     slot->items[pos % kChunkItems] = std::move(v);
     tail_ = pos + 1;
     ++posted_;
@@ -119,18 +126,43 @@ class ShardMailbox {
   [[nodiscard]] std::size_t size() const {
     return static_cast<std::size_t>(tail_ - head_.load(std::memory_order_relaxed));
   }
+  /// Chunks allocated, in the slot table or spare (quiesced read).
+  [[nodiscard]] std::size_t chunks_held() const {
+    std::size_t n = spare_.size();
+    for (const Chunk* c : chunks_) n += c != nullptr ? 1 : 0;
+    return n;
+  }
 
  private:
   struct Chunk {
     T items[kChunkItems];
   };
 
-  std::vector<Chunk*> chunks_;  ///< Fixed slot table; entries allocated lazily.
+  /// A chunk for the writer's next, empty slot.  Chunks wholly below `head`
+  /// (the acquired reader head) go to the spares first: the reader is done
+  /// with them, and none of their slots has been re-entered, because the
+  /// writer laps onto a slot still holding a chunk only when all 256 are
+  /// full, and then never needs a chunk again.
+  Chunk* take_chunk(std::uint64_t head) {
+    for (; reclaimed_ < head / kChunkItems; ++reclaimed_) {
+      Chunk*& slot = chunks_[reclaimed_ % kMaxChunks];
+      spare_.push_back(slot);
+      slot = nullptr;
+    }
+    if (spare_.empty()) return new Chunk();
+    Chunk* c = spare_.back();
+    spare_.pop_back();
+    return c;
+  }
+
+  std::vector<Chunk*> chunks_;  ///< Fixed slot table; null where no chunk is live.
 
   // Writer-owned.
   std::uint64_t tail_ = 0;    ///< Next position to post.
   std::uint64_t posted_ = 0;
   std::uint64_t flushes_ = 0;
+  std::uint64_t reclaimed_ = 0;  ///< Chunks (pos / kChunkItems) below this are spare.
+  std::vector<Chunk*> spare_;    ///< Drained chunks, ready for reuse.
 
   /// The batch publication point: item writes (and chunk-pointer stores)
   /// happen-before this release-store; the reader's acquire-load pairs with
@@ -138,9 +170,9 @@ class ShardMailbox {
   std::atomic<std::uint64_t> published_{0};
 
   // Reader-owned.  head_ is the one reader field the writer reads (post's
-  // overflow check), so it is atomic: drain's release-store pairs with that
-  // acquire-load, ordering the reader's last use of a slot before the
-  // writer reuses it.
+  // overflow check and chunk reclaim), so it is atomic: drain's release-store
+  // pairs with that acquire-load, ordering the reader's last use of a slot
+  // before the writer reuses or reclaims it.
   std::atomic<std::uint64_t> head_{0};  ///< Next position to drain.
   std::uint64_t drains_ = 0;
   std::size_t max_batch_ = 0;

@@ -13,7 +13,11 @@
 // push reuses the slot the last pop left warm.  A bucket holds only a small
 // heap of (time, h, k, slot) keys — sifts compare and move 24-byte keys
 // without touching the events, migration moves a key, and a closure is moved
-// exactly once in (into its slot) and once out (when it fires).  A 1024-bit
+// exactly once in (into its slot) and once out (when it fires).  A ring
+// bucket holds a key buffer only while it has keys: the pop that empties it
+// puts the buffer on the shard's stack of spares, and the next key filed
+// into an empty bucket takes the top spare, so key storage follows the
+// buckets in use rather than every bucket's busiest moment.  A 1024-bit
 // occupancy bitmap beside the ring marks the non-empty buckets, so finding
 // the next event across idle simulated time costs one count-trailing-zeros
 // per 64 buckets instead of a step per empty bucket.
@@ -332,6 +336,15 @@ class Simulator {
   [[nodiscard]] std::size_t shard_event_slots(int shard) const {
     return shard_at(shard).slab.size();
   }
+  /// Key capacity `shard`'s calendar holds: ring buckets, spare key buffers
+  /// and the overflow heap.
+  [[nodiscard]] std::size_t shard_key_slots(int shard) const {
+    const Shard& s = shard_at(shard);
+    std::size_t n = s.overflow.heap.capacity();
+    for (const Bucket& b : s.ring) n += b.heap.capacity();
+    for (const auto& spare : s.spare_keys) n += spare.capacity();
+    return n;
+  }
 
   // --- engine self-profiling (see src/obs/profiler.hpp) ---
 
@@ -387,7 +400,8 @@ class Simulator {
   };
 
   /// One calendar bucket: a binary min-heap of HeapEntry keys whose events
-  /// live in the shard's slab.
+  /// live in the shard's slab.  An empty ring bucket holds no buffer (its
+  /// last one went to the shard's spares).
   struct Bucket {
     static constexpr std::uint32_t kNoFixup = 0xFFFFFFFFu;
 
@@ -440,6 +454,9 @@ class Simulator {
     /// and the next push reuses the slot the last pop left warm.
     std::vector<Event> slab;
     std::vector<std::uint32_t> free_slots;
+    /// Key buffers of drained ring buckets, empty but with their capacity,
+    /// LIFO: the next bucket to fill takes the one the last drain left warm.
+    std::vector<std::vector<HeapEntry>> spare_keys;
 
     /// Time of the last event this shard ran (clocks park past it at rung
     /// ends; a drain parks every clock at the latest one).
@@ -524,6 +541,10 @@ class Simulator {
     }
     const std::uint64_t i = ab & (kNumBuckets - 1);
     Bucket& b = s.ring[i];
+    if (b.empty() && !s.spare_keys.empty()) {
+      b.heap = std::move(s.spare_keys.back());
+      s.spare_keys.pop_back();
+    }
     if (!deferred) {
       heap_push(b, e);
     } else {
@@ -626,12 +647,15 @@ class Simulator {
 
   /// Pops the earliest event of the bucket under the cursor — the one place a
   /// pop can empty a ring bucket, hence the one place an occupancy bit is
-  /// cleared.
+  /// cleared and a key buffer goes back to the spares.
   [[nodiscard]] static Event ring_pop(Shard& s) {
     const std::uint64_t i = s.cursor & (kNumBuckets - 1);
     Bucket& b = s.ring[i];
     Event ev = bucket_pop(s, b);
-    if (b.empty()) s.occupied[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    if (b.empty()) {
+      s.occupied[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+      s.spare_keys.push_back(std::exchange(b.heap, {}));
+    }
     --s.ring_size;
     return ev;
   }
@@ -652,14 +676,20 @@ class Simulator {
   }
 
 #ifndef NDEBUG
-  /// Debug contract: every occupancy bit equals its bucket's non-emptiness.
-  /// Checked at the end of every run()/run_until(), when no shard is running.
+  /// Debug contract: every occupancy bit equals its bucket's non-emptiness,
+  /// an empty bucket holds no key buffer, and every spare is empty.  Checked
+  /// at the end of every run()/run_until(), when no shard is running.
   void audit_occupancy() const {
     for (const auto& s : shards_) {
       for (std::uint64_t i = 0; i < kNumBuckets; ++i) {
         const bool bit = ((s->occupied[i >> 6] >> (i & 63)) & 1) != 0;
         UFAB_CHECK_MSG(bit == !s->ring[i].empty(),
                        "calendar occupancy bit out of sync with its bucket");
+        UFAB_CHECK_MSG(!s->ring[i].empty() || s->ring[i].heap.capacity() == 0,
+                       "empty calendar bucket kept its key buffer");
+      }
+      for (const auto& spare : s->spare_keys) {
+        UFAB_CHECK_MSG(spare.empty(), "spare calendar key buffer holds keys");
       }
     }
   }

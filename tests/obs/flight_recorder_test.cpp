@@ -6,8 +6,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "src/core/shard_context.hpp"
 #include "src/obs/flight_recorder.hpp"
+#include "tests/temp_path.hpp"
 
 namespace ufab::obs {
 namespace {
@@ -101,7 +104,7 @@ TEST(FlightRecorder, ChromeTraceExportIsWellFormed) {
   if (std::system("python3 -c '' >/dev/null 2>&1") != 0) {
     GTEST_SKIP() << "python3 not available";
   }
-  const std::string path = ::testing::TempDir() + "/flight_recorder_test.trace.json";
+  const std::string path = temp_path("flight_recorder_test.trace.json");
   {
     std::ofstream f(path, std::ios::trunc);
     f << trace;
@@ -195,7 +198,7 @@ TEST(FlightRecorderSustained, ChromeTraceStaysValidAfterThreeWraps) {
   if (std::system("python3 -c '' >/dev/null 2>&1") != 0) {
     GTEST_SKIP() << "python3 not available";
   }
-  const std::string path = ::testing::TempDir() + "/flight_recorder_wrap.trace.json";
+  const std::string path = temp_path("flight_recorder_wrap.trace.json");
   {
     std::ofstream f(path, std::ios::trunc);
     f << trace;
@@ -204,6 +207,49 @@ TEST(FlightRecorderSustained, ChromeTraceStaysValidAfterThreeWraps) {
       "python3 " SOURCE_DIR "/scripts/render_trace.py --quiet " + path + " >/dev/null";
   EXPECT_EQ(std::system(cmd.c_str()), 0) << "render_trace.py rejected the post-wrap export";
   std::remove(path.c_str());
+}
+
+/// Every `"seq": N` an export lists, in order.
+std::vector<std::uint64_t> seqs_in(const std::string& text) {
+  const std::string key = "\"seq\": ";
+  std::vector<std::uint64_t> out;
+  for (std::size_t at = text.find(key); at != std::string::npos; at = text.find(key, at + 1)) {
+    out.push_back(std::stoull(text.substr(at + key.size())));
+  }
+  return out;
+}
+
+TEST(FlightRecorder, ExportsMergeShardRingsInEventsOrder) {
+  // Rings 0 and 1 hold interleaved and equal timestamps, recorded in an
+  // order that is neither time nor ring order.  events() and both exports
+  // list them by timestamp, ties in (shard, ring position) order.
+  FlightRecorder rec(16);
+  const auto record_on = [&rec](int shard, std::uint64_t seq, std::int64_t at_ns) {
+    ufab::tls_shard_index = shard;
+    TraceEvent ev = probe_event(seq, EventKind::kEcnMark);
+    ev.at = TimeNs{at_ns};
+    rec.record(ev);
+  };
+  record_on(1, 11, 2'000);
+  record_on(1, 12, 3'000);
+  record_on(0, 1, 1'000);
+  record_on(0, 2, 3'000);
+  record_on(1, 13, 4'000);
+  record_on(0, 3, 3'000);
+  record_on(1, 14, 5'000);
+  record_on(0, 4, 5'000);
+  ufab::tls_shard_index = 0;
+
+  const std::vector<std::uint64_t> expected{1, 11, 2, 3, 12, 13, 4, 14};
+  std::vector<std::uint64_t> listed;
+  for (const TraceEvent& ev : rec.events()) listed.push_back(ev.seq);
+  EXPECT_EQ(listed, expected);
+  std::ostringstream json;
+  rec.write_json(json);
+  EXPECT_EQ(seqs_in(json.str()), expected);
+  std::ostringstream trace;
+  rec.write_chrome_trace(trace);
+  EXPECT_EQ(seqs_in(trace.str()), expected);
 }
 
 TEST(FlightRecorder, RawJsonExportListsEveryEvent) {

@@ -16,6 +16,7 @@
 #include "src/obs/profiler.hpp"
 #include "src/topo/builders.hpp"
 #include "src/ufab/edge_agent.hpp"
+#include "tests/temp_path.hpp"
 
 namespace ufab {
 namespace {
@@ -171,7 +172,7 @@ TEST(Profiler, DerivedSummaryAndProfileJsonAreSane) {
   EXPECT_NE(json.find("\"dispatch_deliver\""), std::string::npos);
 
   if (!python3_available()) GTEST_SKIP() << "python3 not available";
-  const std::string path = ::testing::TempDir() + "/profiler_test.profile.json";
+  const std::string path = temp_path("profiler_test.profile.json");
   {
     std::ofstream f(path, std::ios::trunc);
     f << json;
@@ -243,7 +244,7 @@ TEST(Profiler, MetricsSnapshotCarriesProfGauges) {
 TEST(Profiler, ChromeTraceGainsSchemaTwoCounterTracks) {
   World w(/*prof_level=*/1, /*shards=*/4, /*seed=*/7, /*with_obs=*/true);
   w.run();
-  const std::string path = ::testing::TempDir() + "/profiler_test.trace.json";
+  const std::string path = temp_path("profiler_test.trace.json");
   w.fab->write_trace_json(path);
 
   std::ifstream f(path);
@@ -264,7 +265,7 @@ TEST(Profiler, RenderTraceRejectsMixedSchemaVersions) {
   // A profiler counter smuggled into a schema-1 trace (no ufab_schema key)
   // must be rejected, not silently rendered.
   if (!python3_available()) GTEST_SKIP() << "python3 not available";
-  const std::string path = ::testing::TempDir() + "/profiler_mixed_schema.trace.json";
+  const std::string path = temp_path("profiler_mixed_schema.trace.json");
   {
     std::ofstream f(path, std::ios::trunc);
     f << "{\"traceEvents\": [\n"

@@ -345,6 +345,33 @@ TEST(CalendarQueue, SlabStaysAtPeakPending) {
   EXPECT_EQ(sim.shard_event_slots(0), 4u);
 }
 
+TEST(CalendarQueue, KeyBuffersFollowBucketsInUse) {
+  // 2,048 consecutive 512 ns buckets, twice round the 1,024-bucket ring,
+  // each take a burst of 64 events and drain before the next one fills.  A
+  // drained bucket's key buffer goes to the shard's spares for the next
+  // bucket, so key capacity stays at what is pending, not at 1,024 buffers
+  // of each bucket's busiest moment (65,536 keys).
+  constexpr int kBuckets = 2'048;
+  constexpr int kBurst = 64;
+  constexpr std::int64_t kBucketNs = 512;
+  Simulator sim;
+  int fired = 0;
+  std::size_t peak_pending = 0;
+  for (int b = 0; b < kBuckets; ++b) {
+    const std::int64_t start = b * kBucketNs;
+    for (int i = 0; i < kBurst; ++i) {
+      sim.at(TimeNs{start + (i * 7) % kBucketNs}, [&fired] { ++fired; });
+    }
+    peak_pending = std::max(peak_pending, sim.pending());
+    ASSERT_LE(sim.shard_key_slots(0), 2 * peak_pending) << "bucket " << b;
+    sim.run_until(TimeNs{start + kBucketNs - 1});
+    ASSERT_EQ(sim.pending(), 0u);
+  }
+  EXPECT_EQ(fired, kBuckets * kBurst);
+  EXPECT_EQ(peak_pending, static_cast<std::size_t>(kBurst));
+  EXPECT_LE(sim.shard_key_slots(0), 2u * kBurst);
+}
+
 TEST(CalendarQueue, RunUntilBoundaryIsInclusive) {
   Simulator sim;
   std::vector<int> order;

@@ -606,9 +606,13 @@ TEST(ShardMailboxUnit, PostFlushDrainKeepsOrderAndCounts) {
 }
 
 TEST(ShardMailboxUnit, BatchesSpanChunksAndRewind) {
-  ShardMailbox<int> box;
+  using Box = ShardMailbox<int>;
+  Box box;
   // More than one 64-item chunk in a single batch, across enough cycles that
-  // the positions go round the chunk ring (16384 entries) twice.
+  // the positions go round the chunk ring (16384 entries) twice.  Drained
+  // chunks are recycled, so the mailbox holds what one batch spans (plus the
+  // chunk the reader stopped in and the one the writer starts), not a chunk
+  // for every slot the positions have passed.
   std::uint64_t total = 0;
   std::vector<int> got;
   for (int round = 0; round < 200; ++round) {
@@ -622,9 +626,47 @@ TEST(ShardMailboxUnit, BatchesSpanChunksAndRewind) {
     ASSERT_EQ(got.back(), round * 1000 + n - 1);
     total += static_cast<std::uint64_t>(n);
     ASSERT_EQ(box.size(), 0u);
+    const std::size_t batch_chunks = (static_cast<std::size_t>(n) + Box::kChunkItems - 1) /
+                                     Box::kChunkItems;
+    ASSERT_LE(box.chunks_held(), batch_chunks + 2) << "round " << round;
   }
   EXPECT_EQ(box.posted_total(), total);
   EXPECT_GE(box.max_drain_batch(), 100u);
+}
+
+TEST(ShardMailboxUnit, RoundTripAtTheInFlightBound) {
+  using Box = ShardMailbox<int>;
+  constexpr int kBound = static_cast<int>(Box::kChunkItems * Box::kMaxChunks);
+  static_assert(kBound == 16'384, "the loud in-flight bound moved");
+  Box box;
+  std::vector<int> got;
+  const auto take = [&got](int v) { got.push_back(v); };
+  // Start 10 entries into a chunk, so each batch of 16,383 laps the 256-slot
+  // ring onto the slot of the chunk the reader is still inside.
+  for (int i = 0; i < 10; ++i) box.post(-1);
+  box.flush();
+  box.drain(take);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < kBound - 1; ++i) box.post(round * kBound + i);
+    EXPECT_EQ(box.size(), static_cast<std::size_t>(kBound - 1));
+    box.flush();
+    got.clear();
+    box.drain(take);
+    ASSERT_EQ(static_cast<int>(got.size()), kBound - 1) << "round " << round;
+    for (int i = 0; i < kBound - 1; ++i) ASSERT_EQ(got[i], round * kBound + i) << "entry " << i;
+    EXPECT_LE(box.chunks_held(), Box::kMaxChunks);
+  }
+}
+
+TEST(ShardMailboxDeathTest, PostPastTheInFlightBoundDies) {
+  // 16,384 entries posted and not drained fill the channel; one more fails
+  // loudly instead of overwriting an entry the reader has not taken.
+  EXPECT_DEATH(
+      {
+        ShardMailbox<int> box;
+        for (int i = 0; i <= 16'384; ++i) box.post(int{i});
+      },
+      "shard mailbox overflow");
 }
 
 }  // namespace

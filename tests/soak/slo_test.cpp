@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/soak/slo.hpp"
+#include "tests/temp_path.hpp"
 
 namespace ufab::soak {
 namespace {
@@ -91,7 +92,7 @@ TEST(SloTracker, RecoveryGateUsesP99) {
 }
 
 TEST(SloTracker, CsvHasHeaderAndOneRowPerWindow) {
-  const std::string path = ::testing::TempDir() + "/slo_tracker_test.csv";
+  const std::string path = temp_path("slo_tracker_test.csv");
   {
     SloTracker t(500_ms, 1e6, 1e7, path);
     for (int w = 0; w < 3; ++w) {

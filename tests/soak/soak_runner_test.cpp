@@ -13,6 +13,7 @@
 #include "src/harness/fabric.hpp"
 #include "src/soak/runner.hpp"
 #include "src/topo/builders.hpp"
+#include "tests/temp_path.hpp"
 
 namespace ufab::soak {
 namespace {
@@ -50,9 +51,9 @@ TEST(SoakRunner, SmokeRunPassesItsOwnGates) {
 }
 
 TEST(SoakRunner, SloCsvIsByteIdenticalForFixedSeed) {
-  const std::string p1 = ::testing::TempDir() + "/soak_csv_a.csv";
-  const std::string p2 = ::testing::TempDir() + "/soak_csv_b.csv";
-  const std::string p3 = ::testing::TempDir() + "/soak_csv_c.csv";
+  const std::string p1 = temp_path("soak_csv_a.csv");
+  const std::string p2 = temp_path("soak_csv_b.csv");
+  const std::string p3 = temp_path("soak_csv_c.csv");
   {
     SoakOptions o = smoke_opts(21);
     o.csv_path = p1;
