@@ -198,41 +198,6 @@ void BM_EpochBarrier(benchmark::State& state) {
 }
 BENCHMARK(BM_EpochBarrier)->UseRealTime();
 
-/// Synchronization amortization end to end: a two-shard lookahead-limited
-/// workload (self-rescheduling chains + periodic crossings) run to a fixed
-/// horizon with N lookahead windows per coordinator barrier.  Arg(1) pays one
-/// barrier per window; higher args show what multi-window epochs save.
-/// Sequential executor so the number isolates epoch overhead rather than
-/// thread scheduling noise.
-void BM_AdaptiveEpoch(benchmark::State& state) {
-  const int windows = static_cast<int>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    sim::Simulator sim;
-    sim.configure_shards(2, TimeNs{1'000}, sim::ShardExec::kSequential);
-    sim.set_epoch_windows(windows);
-    struct Chain {
-      sim::Simulator* sim;
-      int self;
-      void fire() {
-        if (sim->now() < TimeNs{400'000}) {
-          sim->after(TimeNs{self == 0 ? 331 : 457}, [this] { fire(); });
-        }
-      }
-    };
-    Chain chains[2] = {{&sim, 0}, {&sim, 1}};
-    for (int s = 0; s < 2; ++s) {
-      const auto scope = sim.scoped(s);
-      sim.at(TimeNs{10 + s}, [chain = &chains[s]] { chain->fire(); });
-    }
-    sim.run_until(TimeNs{500'000});
-    events += sim.events_processed();
-  }
-  benchmark::DoNotOptimize(events);
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_AdaptiveEpoch)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-
 /// Pooled packet make/destroy churn with realistic field traffic — the
 /// per-packet cost transport and the links pay on every hop.
 void BM_PacketMake(benchmark::State& state) {
@@ -482,9 +447,9 @@ BENCHMARK(BM_IntEncodeInline)->Arg(0)->Arg(1);
 /// Cost of one enabled ProfScope token (two clock reads + slice add) — the
 /// per-call price of every level-2 detailed scope (WFQ next, telemetry
 /// ingest, mailbox post).  Level-1 loop attribution pays one such pair only
-/// every timing_stride events (counts stay exact), so this number divided by
-/// the stride bounds the profiler's per-event overhead; the run_perf.sh
-/// guard checks the realized end-to-end figure.
+/// every Profiler::kTimingStride events (counts stay exact), so this number
+/// divided by the stride bounds the profiler's per-event overhead; the
+/// run_perf.sh guard checks the realized end-to-end figure.
 void BM_ProfScope(benchmark::State& state) {
   obs::ProfSlice slice;
   for (auto _ : state) {

@@ -146,8 +146,9 @@ obs::Obs& Fabric::enable_observability(obs::ObsOptions opts) {
     reg.gauge("prof.stall_us_total", {})->set(d.stall_ns_total / 1e3);
     reg.gauge("prof.epochs", {})->set(static_cast<double>(p->epochs()));
     reg.gauge("prof.windows", {})->set(static_cast<double>(p->windows()));
-    reg.gauge("prof.crossings_injected", {})
-        ->set(static_cast<double>(p->crossings_injected()));
+    std::uint64_t crossings = 0;
+    for (int s = 0; s < sim_.shard_count(); ++s) crossings += sim_.shard_crossings_out(s);
+    reg.gauge("prof.crossings_injected", {})->set(static_cast<double>(crossings));
     reg.gauge("prof.handoff_max_batch", {})
         ->set(static_cast<double>(sim_.handoff_max_batch()));
     // Epoch-length distribution: one labeled row per occupied log2 bucket

@@ -1,9 +1,8 @@
 // Observability context: one MetricRegistry + one FlightRecorder per fabric.
 //
-// Instrumented objects hold a raw `Obs*` (null = disabled) and record through
-// the UFAB_OBS_EVENT macro, so the disabled cost is a single pointer compare
-// on cold paths and literally nothing when UFAB_OBS_DISABLED is defined at
-// compile time.  Observability is strictly passive: it never schedules
+// Instrumented objects hold a raw `Obs*` (null = disabled) and record only
+// after a null check, so the disabled cost is a single pointer compare on
+// cold paths.  Observability is strictly passive: it never schedules
 // simulator events, never consumes experiment randomness, and never mutates
 // instrumented state — an enabled run is packet-for-packet identical to a
 // disabled one (tests/obs asserts this).
@@ -79,16 +78,3 @@ class Obs {
 };
 
 }  // namespace ufab::obs
-
-/// Records a TraceEvent through an `obs::Obs*` that may be null (disabled).
-/// Compiles away entirely under -DUFAB_OBS_DISABLED.
-#if defined(UFAB_OBS_DISABLED)
-#define UFAB_OBS_EVENT(obsptr, ...) \
-  do {                              \
-  } while (false)
-#else
-#define UFAB_OBS_EVENT(obsptr, ...)                      \
-  do {                                                   \
-    if ((obsptr) != nullptr) (obsptr)->record(__VA_ARGS__); \
-  } while (false)
-#endif

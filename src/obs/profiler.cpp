@@ -90,11 +90,6 @@ std::int64_t ProfClock::self_ticks() {
 
 Profiler::Profiler(const ProfOptions& opts) : opts_(opts) {
   if (opts_.level < 1) opts_.level = 1;
-  if (opts_.sample_period_ns < 1) opts_.sample_period_ns = 1;
-  if (opts_.max_samples_per_shard < 1) opts_.max_samples_per_shard = 1;
-  if (opts_.timing_stride < 1) opts_.timing_stride = 1;
-  opts_.timing_stride = std::bit_ceil(opts_.timing_stride);
-  timing_mask_ = opts_.timing_stride - 1;
   // Pay the clock calibration now, outside any timed region, so the first
   // export does not stall and benchmark iterations never see it.
   (void)ProfClock::ns_per_tick();
@@ -111,12 +106,12 @@ int Profiler::env_level() {
 void Profiler::add_sample(int shard, const ProfSample& sample) {
   const auto si = static_cast<std::size_t>(shard);
   std::vector<ProfSample>& ring = sample_rings_[si];
-  if (ring.empty()) ring.resize(opts_.max_samples_per_shard);
+  if (ring.empty()) ring.resize(kMaxSamplesPerShard);
   ring[samples_taken_[si] % ring.size()] = sample;
   ++samples_taken_[si];
   ++ring_occ_hist_[si][static_cast<std::size_t>(occ_bucket(sample.ring_events))];
   ++overflow_occ_hist_[si][static_cast<std::size_t>(occ_bucket(sample.overflow_events))];
-  next_sample_ns_[si] = sample.sim_ns + opts_.sample_period_ns;
+  next_sample_ns_[si] = sample.sim_ns + kSamplePeriodNs;
 }
 
 void Profiler::note_epoch(std::int64_t epoch_sim_ns) {
@@ -128,8 +123,6 @@ void Profiler::note_epoch(std::int64_t epoch_sim_ns) {
   const int b = std::min(static_cast<int>(std::bit_width(len)), kEpochLenBuckets - 1);
   ++epoch_len_hist_[static_cast<std::size_t>(b)];
 }
-
-void Profiler::note_injected(std::uint64_t crossings) { crossings_injected_ += crossings; }
 
 double Profiler::run_wall_ns() const { return ticks_to_ns(run_wall_ticks_); }
 
@@ -193,6 +186,8 @@ ProfDerived Profiler::derived(int shard_count) const {
 
 std::string Profiler::to_json(const ProfContext& ctx) const {
   const ProfDerived d = derived(ctx.shard_count);
+  std::uint64_t crossings_injected = 0;
+  for (const std::uint64_t c : ctx.crossings_per_shard) crossings_injected += c;
   std::string out;
   out.reserve(4096);
   out += "{\n  \"schema\": \"ufab-profile-v1\",\n";
@@ -201,10 +196,9 @@ std::string Profiler::to_json(const ProfContext& ctx) const {
   append_f(out, "  \"threaded\": %s,\n", ctx.threaded ? "true" : "false");
   append_f(out, "  \"lookahead_ns\": %lld,\n", static_cast<long long>(ctx.lookahead_ns));
   append_f(out, "  \"epoch_windows\": %d,\n", ctx.epoch_windows);
-  append_f(out, "  \"sample_period_ns\": %lld,\n",
-           static_cast<long long>(opts_.sample_period_ns));
+  append_f(out, "  \"sample_period_ns\": %lld,\n", static_cast<long long>(kSamplePeriodNs));
   append_f(out, "  \"timing_stride\": %llu,\n",
-           static_cast<unsigned long long>(opts_.timing_stride));
+           static_cast<unsigned long long>(kTimingStride));
   append_f(out, "  \"wall_ns\": %.1f,\n", run_wall_ns());
   append_f(out,
            "  \"epochs\": {\"count\": %llu, \"sim_ns_total\": %lld, \"sim_ns_min\": %lld, "
@@ -213,7 +207,7 @@ std::string Profiler::to_json(const ProfContext& ctx) const {
            static_cast<long long>(epoch_sim_ns_total_),
            static_cast<long long>(epochs_ == 0 ? 0 : epoch_sim_ns_min_),
            static_cast<long long>(epochs_ == 0 ? 0 : epoch_sim_ns_max_),
-           static_cast<unsigned long long>(crossings_injected_),
+           static_cast<unsigned long long>(crossings_injected),
            static_cast<unsigned long long>(windows_));
   out += "  \"epoch_len_ns_log2\": [";
   for (int b = 0; b < kEpochLenBuckets; ++b) {

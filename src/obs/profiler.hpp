@@ -30,16 +30,18 @@
 // Timing uses the TSC on x86-64 (rdtsc; cheap bare-metal, tens of ns on
 // some VMs) and falls back to steady_clock elsewhere.  Because mean event
 // cost is ~100 ns, even one clock-read pair per event can cost tens of
-// percent — so level 1 times only every `timing_stride`-th event (default
-// 32) while *counting* every event exactly, and export scales the sampled
-// ticks by count/sampled per category (a self-normalizing ratio estimator).
+// percent — so level 1 times only every kTimingStride-th event (32) while
+// *counting* every event exactly, and export scales the sampled ticks by
+// count/sampled per category (a self-normalizing ratio estimator).
 // Slices store raw ticks; conversion to nanoseconds happens once at export
 // using a process-wide calibration performed on first use.
 //
 // Levels (UFAB_PROF):
 //   0  disabled (default) — the run loop skips the attribution step.
 //   1  loop-level attribution: dispatch/queue/barrier/inject scopes (strided
-//      timing, exact counts), queue occupancy sampling, epoch accounting.
+//      timing, exact counts), queue occupancy sampling every
+//      kSamplePeriodNs of simulated time, epoch accounting.  The crossings
+//      the export reports come from the engine's mailbox post counts.
 //      Budgeted at <= 5% on BM_Fig17Slice (CI-guarded via
 //      scripts/run_perf.sh).
 //   2  adds per-call scopes inside events (WFQ next, telemetry ingest,
@@ -187,14 +189,7 @@ struct ProfSample {
 };
 
 struct ProfOptions {
-  int level = 1;                      ///< 1 = loop scopes, 2 = + detailed scopes.
-  std::int64_t sample_period_ns = 100'000;  ///< Queue sampling cadence (sim time).
-  std::size_t max_samples_per_shard = 4096;  ///< Ring; oldest overwritten.
-  /// Time every Nth loop event (rounded up to a power of two).  1 = time
-  /// everything (exact, but up to tens of percent overhead on VMs with slow
-  /// TSC reads); the default keeps the realized overhead inside the <= 5%
-  /// CI guard while counts stay exact.
-  std::uint64_t timing_stride = 32;
+  int level = 1;  ///< 1 = loop scopes, 2 = + detailed scopes.
 };
 
 /// Derived summary statistics over all shard slices.
@@ -215,18 +210,20 @@ struct ProfContext {
   int shard_count = 1;
   bool threaded = false;
   std::int64_t lookahead_ns = -1;  ///< -1 = unbounded (no cut links).
-  int epoch_windows = 1;           ///< Lookahead windows per barrier (knob).
+  int epoch_windows = 1;           ///< Max rungs (lookahead windows) per barrier.
   std::uint64_t handoff_max_batch = 0;  ///< Largest single mailbox drain.
   std::uint64_t mailbox_flushes = 0;    ///< Batch publications, all mailboxes.
   std::vector<std::uint64_t> events_per_shard;
+  /// Crossings each shard posted; after a pass every one has been injected,
+  /// so their sum is the export's `epochs.crossings_injected`.
   std::vector<std::uint64_t> crossings_per_shard;
 };
 
 /// Per-simulator profiling state: one slice + sample ring per shard, plus
 /// epoch accounting.  Owned by sim::Simulator; all mutation happens under
 /// the engine's existing shard-ownership discipline (a shard's slice is
-/// touched only by the thread running that shard's pass; epoch/inject
-/// accounting only by the coordinator while workers are parked).
+/// touched only by the thread running that shard's pass; epoch accounting
+/// only by the coordinator while workers are parked).
 class Profiler {
  public:
   static constexpr int kMaxShards = 64;  ///< Mirrors sim::Simulator::kMaxShards.
@@ -234,6 +231,16 @@ class Profiler {
   /// bit_width(occupancy) == i, i.e. bucket 0 is "empty", bucket i covers
   /// [2^(i-1), 2^i).
   static constexpr int kOccBuckets = 33;
+  /// Queue sampling cadence, in simulated ns.
+  static constexpr std::int64_t kSamplePeriodNs = 100'000;
+  /// Per-shard sample ring; the oldest sample is overwritten.
+  static constexpr std::size_t kMaxSamplesPerShard = 4096;
+  /// The level-1 loop times every kTimingStride-th event (a power of two).
+  /// Timing every event is exact but costs up to tens of percent on VMs with
+  /// slow TSC reads; 32 keeps the realized overhead inside the <= 5% CI
+  /// guard while counts stay exact.
+  static constexpr std::uint64_t kTimingStride = 32;
+  static_assert((kTimingStride & (kTimingStride - 1)) == 0, "stride must be a power of two");
 
   explicit Profiler(const ProfOptions& opts);
 
@@ -242,7 +249,7 @@ class Profiler {
 
   /// Mask for the level-1 timing stride: an event is timed when
   /// `(slice.strided++ & timing_mask()) == 0`.
-  [[nodiscard]] std::uint64_t timing_mask() const { return timing_mask_; }
+  [[nodiscard]] static constexpr std::uint64_t timing_mask() { return kTimingStride - 1; }
 
   /// Parses UFAB_PROF from the environment: unset/"0" -> 0, "1" -> 1,
   /// anything >= 2 -> 2.
@@ -275,7 +282,6 @@ class Profiler {
   /// Rungs (lookahead windows) walked inside a pass: spin-synchronized
   /// ends, no barrier.
   void note_windows(int windows) { windows_ += static_cast<std::uint64_t>(windows); }
-  void note_injected(std::uint64_t crossings);
   void add_run_wall(std::int64_t ticks) { run_wall_ticks_ += ticks; }
 
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
@@ -283,7 +289,6 @@ class Profiler {
   [[nodiscard]] const std::array<std::uint64_t, kEpochLenBuckets>& epoch_len_hist() const {
     return epoch_len_hist_;
   }
-  [[nodiscard]] std::uint64_t crossings_injected() const { return crossings_injected_; }
   [[nodiscard]] double run_wall_ns() const;
 
   /// Samples recorded for `shard`, oldest first (ring-decoded).
@@ -321,7 +326,6 @@ class Profiler {
 
  private:
   ProfOptions opts_;
-  std::uint64_t timing_mask_ = 0;
   std::array<ProfSlice, kMaxShards> slices_{};
   std::array<std::int64_t, kMaxShards> next_sample_ns_{};
   std::array<std::uint64_t, kMaxShards> samples_taken_{};
@@ -334,7 +338,6 @@ class Profiler {
   std::int64_t epoch_sim_ns_max_ = 0;
   std::uint64_t windows_ = 0;
   std::array<std::uint64_t, kEpochLenBuckets> epoch_len_hist_{};
-  std::uint64_t crossings_injected_ = 0;
   std::int64_t run_wall_ticks_ = 0;
 };
 

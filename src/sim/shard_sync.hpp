@@ -11,9 +11,10 @@
 // atomic per batch — the "cache-line-friendly chunks with a single size/flag
 // publish" design from DESIGN.md §12.  Drained chunks go back to a spare
 // list on the writer's side, so a channel's memory follows what it carries
-// at once, not the total it has carried.  Between coordinator barriers the
-// usual quiesced-owner discipline applies, so the coordinator may read the
-// stats while workers are parked.
+// at once, not the total it has carried.  Positions start at 0 and never
+// wrap, so the writer's tail is also the channel's post count.  Between
+// coordinator barriers the usual quiesced-owner discipline applies, so the
+// coordinator may read the stats while workers are parked.
 //
 // ShardClockSlot is the per-shard published progress that lets shards
 // self-synchronize at rung ends *inside* an epoch without a condvar barrier:
@@ -23,10 +24,10 @@
 // everything the peer flushed before publishing it — the message-passing
 // pattern the rung ladder relies on (DESIGN.md §12).
 //
-// EpochBarrier parks the worker threads between epochs (passes of up to 16
-// rungs): the coordinator publishes a pass generation, workers walk their
-// shard's ladder and report back, and the coordinator proceeds only when
-// every worker is done.  All three are benchmarked in
+// EpochBarrier parks the worker threads between epochs (passes of up to
+// Simulator::kEpochRungs = 16 rungs): the coordinator publishes a pass
+// generation, workers walk their shard's ladder and report back, and the
+// coordinator proceeds only when every worker is done.  All three are benchmarked in
 // bench/micro_datastructures.cpp (BM_ShardMailbox, BM_MailboxBatch,
 // BM_EpochBarrier).
 #pragma once
@@ -83,7 +84,6 @@ class ShardMailbox {
     if (slot == nullptr) slot = take_chunk(head);
     slot->items[pos % kChunkItems] = std::move(v);
     tail_ = pos + 1;
-    ++posted_;
   }
 
   /// Publishes every entry posted since the last flush with a single
@@ -114,7 +114,9 @@ class ShardMailbox {
   }
 
   // --- stats (read quiesced) ---
-  [[nodiscard]] std::uint64_t posted_total() const { return posted_; }
+  /// Entries posted so far: the monotone tail.  The writer may also read it
+  /// mid-pass.
+  [[nodiscard]] std::uint64_t posted_total() const { return tail_; }
   /// Batches published (one release-store each).
   [[nodiscard]] std::uint64_t flushes() const { return flushes_; }
   /// Non-empty drains (== injection batches the reader absorbed).
@@ -158,8 +160,7 @@ class ShardMailbox {
   std::vector<Chunk*> chunks_;  ///< Fixed slot table; null where no chunk is live.
 
   // Writer-owned.
-  std::uint64_t tail_ = 0;    ///< Next position to post.
-  std::uint64_t posted_ = 0;
+  std::uint64_t tail_ = 0;    ///< Next position to post; also the post count.
   std::uint64_t flushes_ = 0;
   std::uint64_t reclaimed_ = 0;  ///< Chunks (pos / kChunkItems) below this are spare.
   std::vector<Chunk*> spare_;    ///< Drained chunks, ready for reuse.

@@ -4,7 +4,7 @@
 // A sharded run_until(t) — run() is the horizon TimeNs::max() — is a
 // sequence of passes, one coordinator barrier each.  A pass starts at base =
 // the earliest pending event (never before the common clock) and walks up to
-// set_epoch_windows() rungs (16) of the lookahead L: rung i runs every event
+// kEpochRungs (16) rungs of the lookahead L: rung i runs every event
 // at or before min(base + i*L - 1, t), parks the clock at base + i*L (at t
 // for the rung that reaches the horizon, nowhere for a drain's), flushes
 // the outgoing mailboxes (one release-store per non-empty channel),
@@ -24,16 +24,14 @@
 // Sequential execution walks the same ladder interleaved (every shard runs
 // a rung and flushes, then every shard drains); threaded execution walks it
 // on every shard at once.  The canonical (h, k) keys fix the pop order for
-// any safe ladder, so both executors and every ladder width fire the serial
-// engine's schedule.
+// any safe ladder, so both executors fire the serial engine's schedule.
 //
 // Cross-shard packets are handed over, not cloned: injection moves the
 // PacketPtr into the destination calendar with its origin pool unchanged,
 // and a release on a foreign shard routes the storage home through a
 // per-(freer, owner) return mailbox (PacketPool's foreign guard, armed only
-// for threaded execution).  absorb files keys through the bulk calendar
-// path (a deferred file_key, then end_bulk) so a drain batch costs one heap
-// fixup per touched bucket instead of one sift per crossing.
+// for threaded execution).  absorb pushes each drained crossing into the
+// calendar like any other event, in drain order.
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
@@ -291,16 +289,16 @@ void Simulator::flush_outgoing(int src) {
   }
 }
 
-/// Absorbs what `src` published to `dst`: crossings go into `dst`'s calendar
-/// through the bulk path (ownership handoff — the packet travels, its pool
-/// does not; the caller runs end_bulk), and storage `src` freed on behalf of
-/// `dst`'s pool goes home via put_direct (the caller acts as the owner here,
-/// so the foreign guard must not re-route it).
+/// Absorbs what `src` published to `dst`: crossings are pushed into `dst`'s
+/// calendar (ownership handoff — the packet travels, its pool does not), and
+/// storage `src` freed on behalf of `dst`'s pool goes home via put_direct
+/// (the caller acts as the owner here, so the foreign guard must not
+/// re-route it).
 void Simulator::absorb(int src, int dst) {
   Shard& d = *shards_[static_cast<std::size_t>(dst)];
   cross_ch(src, dst).drain([&d](Crossing&& c) {
     UFAB_CHECK_MSG(c.at >= d.now, "cross-shard crossing violates the lookahead bound");
-    file_key(d, slab_put(d, c.at, c.h, c.k, DeliverEvent{c.dst, std::move(c.pkt)}), true);
+    push(d, c.at, c.h, c.k, DeliverEvent{c.dst, std::move(c.pkt)});
   });
   ret_ch(src, dst).drain([](Packet*&& p) { p->origin_pool->put_direct(p); });
 }
@@ -311,11 +309,10 @@ void Simulator::drain_incoming(Shard& s) {
   for (int src = 0; src < n; ++src) {
     if (src != s.index) absorb(src, s.index);
   }
-  end_bulk(s);
 }
 
 /// The profiled dispatch step.  Every event bumps its exact category counts
-/// (two plain increments); only every timing_stride-th event pays clock
+/// (two plain increments); only every kTimingStride-th event pays clock
 /// reads — t0 -> peek/migrate/pop -> t1 -> closure -> t2, attributing
 /// [t0,t1) to queue_pop and [t1,t2) to the dispatch category — and the
 /// export scales sampled ticks back up by count/sampled.  A clock-read pair
@@ -346,7 +343,7 @@ void Simulator::pop_and_run_profiled(Shard& s, obs::ProfSlice& sl) {
     p.add_sample(s.index,
                  obs::ProfSample{s.now.ns(), static_cast<std::uint64_t>(s.ring_size),
                                  static_cast<std::uint64_t>(s.overflow.heap.size()),
-                                 s.processed, s.crossings_posted});
+                                 s.processed, shard_crossings_out(s.index)});
   }
 }
 
@@ -388,16 +385,6 @@ void Simulator::park_at_last_event(TimeNs floor) {
   for (auto& s : shards_) s->now = t;
 }
 
-/// Reports newly injected crossings to the profiler.  Called after a pass,
-/// when posted == injected, so the posted total *is* the injected total.
-void Simulator::note_injected_progress() {
-  if (prof_ == nullptr) return;
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) total += s->crossings_posted;
-  prof_->note_injected(total - injected_noted_);
-  injected_noted_ = total;
-}
-
 /// The epoch loop: one pass per coordinator barrier until nothing is
 /// pending at or before `t` (`t == TimeNs::max()` drains).  Every pass
 /// starts with all clocks equal and every mailbox drained.
@@ -412,7 +399,7 @@ void Simulator::run_until_sharded(TimeNs t) {
     pass_base_ = std::max(shards_.front()->now, earliest);
     pass_horizon_ = t;
     pass_rungs_ = 1;
-    while (pass_rungs_ < epoch_windows_ && rung_last(pass_rungs_) != t) ++pass_rungs_;
+    while (pass_rungs_ < kEpochRungs && rung_last(pass_rungs_) != t) ++pass_rungs_;
     // The pass spans base to its last rung's parking point; a drain's
     // unbounded rung spans no finite epoch, so it notes none.
     const TimeNs last = rung_last(pass_rungs_);
@@ -422,7 +409,6 @@ void Simulator::run_until_sharded(TimeNs t) {
       prof_->note_windows(pass_rungs_);
     }
     run_pass();
-    note_injected_progress();
   }
   if (t == TimeNs::max()) {
     park_at_last_event(start);
@@ -446,14 +432,14 @@ std::string Simulator::profile_json() const {
   ctx.shard_count = shard_count();
   ctx.threaded = threaded();
   ctx.lookahead_ns = lookahead_ == TimeNs::max() ? -1 : lookahead_.ns();
-  ctx.epoch_windows = epoch_windows_;
+  ctx.epoch_windows = kEpochRungs;
   ctx.handoff_max_batch = handoff_max_batch();
   ctx.mailbox_flushes = mailbox_flushes_total();
   ctx.events_per_shard.reserve(shards_.size());
   ctx.crossings_per_shard.reserve(shards_.size());
   for (const auto& s : shards_) {
     ctx.events_per_shard.push_back(s->processed);
-    ctx.crossings_per_shard.push_back(s->crossings_posted);
+    ctx.crossings_per_shard.push_back(shard_crossings_out(s->index));
   }
   return prof_->to_json(ctx);
 }

@@ -46,11 +46,13 @@
 // ownership of the packet itself — no clone — and a later release on a
 // foreign shard routes back to the owner pool through a return mailbox
 // (PacketPool's foreign guard).  An *epoch* (one coordinator barrier) spans
-// up to 16 rungs: inside a pass each shard self-synchronizes at rung ends
-// through published per-shard progress (flush mailboxes, publish, spin until
-// peers reach the rung, drain incoming — DESIGN.md §12), which amortizes the
-// ~µs condvar barrier over 16 rungs of ~100 ns spins.  The calendar stays
-// inline here; the one run loop and the ladder live in simulator.cpp.
+// up to kEpochRungs (16) rungs: inside a pass each shard self-synchronizes at
+// rung ends through published per-shard progress (flush mailboxes, publish,
+// spin until peers reach the rung, drain incoming — DESIGN.md §12), which
+// amortizes the ~µs condvar barrier over 16 rungs of ~100 ns spins.  A
+// drained crossing enters the calendar through the same push as every other
+// event.  The calendar stays inline here; the one run loop and the ladder
+// live in simulator.cpp.
 #pragma once
 
 #include <algorithm>
@@ -148,17 +150,6 @@ class Simulator {
   [[nodiscard]] int shard_count() const { return static_cast<int>(shards_.size()); }
   /// Always true: canonical (h, k) ordering is the engine's only mode.
   [[nodiscard]] bool canonical_order() const { return true; }
-
-  /// Epoch synchronization (DESIGN.md §12): one coordinator barrier spans up
-  /// to `windows` rungs of the lookahead ladder (shards self-synchronize at
-  /// the interior rung ends through published progress).  The schedule is
-  /// byte-identical for every width (canonical (h,k) keys are partition- and
-  /// batching-invariant).  Must be called before the first run.
-  void set_epoch_windows(int windows) {
-    UFAB_CHECK_MSG(!exec_started_, "set_epoch_windows after a run started");
-    UFAB_CHECK(windows >= 1);
-    epoch_windows_ = windows;
-  }
 
   /// Forces sequential (single-thread) epoch execution.  Sequential epochs
   /// fire the exact same schedule as threaded ones, so this is a safety
@@ -269,8 +260,7 @@ class Simulator {
     Shard& s = active();
     UFAB_CHECK_MSG(s.in_event, "crossing posted outside an event");
     UFAB_CHECK(dst_shard >= 0 && dst_shard < shard_count() && dst_shard != s.index);
-    ++s.crossings_posted;
-    cross_ch(s.index, dst_shard).post(Crossing{at, h, k, dst_shard, dst, std::move(pkt)});
+    cross_ch(s.index, dst_shard).post(Crossing{at, h, k, dst, std::move(pkt)});
   }
 
   /// Opaque handle to the shard the calling context schedules onto.  A link
@@ -291,8 +281,14 @@ class Simulator {
   [[nodiscard]] std::uint64_t shard_events_processed(int shard) const {
     return shard_at(shard).processed;
   }
+  /// Crossings `shard` has posted: the post counts of its outgoing cross
+  /// mailboxes.  `shard`'s own context may read it mid-pass.
   [[nodiscard]] std::uint64_t shard_crossings_out(int shard) const {
-    return shard_at(shard).crossings_posted;
+    std::uint64_t total = 0;
+    for (int dst = 0; dst < shard_count(); ++dst) {
+      if (dst != shard) total += cross_ch(shard, dst).posted_total();
+    }
+    return total;
   }
   [[nodiscard]] std::int64_t shard_barrier_wait_ns(int shard) const {
     return shard_at(shard).barrier_wait_ns;
@@ -403,15 +399,7 @@ class Simulator {
   /// live in the shard's slab.  An empty ring bucket holds no buffer (its
   /// last one went to the shard's spares).
   struct Bucket {
-    static constexpr std::uint32_t kNoFixup = 0xFFFFFFFFu;
-
     std::vector<HeapEntry> heap;
-    /// Bulk-insert marker: heap size before the first deferred append of the
-    /// current drain batch (kNoFixup when no fixup is pending).  Entries at
-    /// or past it are appended un-heapified and restored in one end_bulk()
-    /// sweep — O(batch·log n) sifts or one make_heap instead of a push_heap
-    /// per crossing.
-    std::uint32_t fixup_from = kNoFixup;
     [[nodiscard]] bool empty() const { return heap.empty(); }
   };
 
@@ -421,7 +409,6 @@ class Simulator {
     TimeNs at;
     std::uint64_t h;
     std::uint32_t k;
-    int dst_shard;
     Node* dst;
     PacketPtr pkt;
   };
@@ -430,10 +417,12 @@ class Simulator {
   static constexpr std::uint64_t kNumBuckets = 1024;  ///< ~0.5 ms near horizon.
   static constexpr std::uint64_t kOccupancyWords = kNumBuckets / 64;
   static constexpr int kMaxShards = 64;
+  static constexpr int kEpochRungs = 16;  ///< Max rungs per coordinator barrier.
 
-  /// One event loop: its own clock, calendar, packet pool, and outbox.  The
-  /// pool is declared first so the event tiers (whose pending closures own
-  /// packets) are destroyed while the pool is still alive.
+  /// One event loop: its own clock, calendar and packet pool (its mailboxes
+  /// are per-(src, dst) simulator members, cross_ch_/ret_ch_).  The pool is
+  /// declared first so the event tiers (whose pending closures own packets)
+  /// are destroyed while the pool is still alive.
   struct Shard {
     explicit Shard(int idx) : index(idx), ring(kNumBuckets) {}
 
@@ -467,12 +456,7 @@ class Simulator {
     std::uint32_t cur_k = 0;
     bool in_event = false;
 
-    // Cross-shard machinery (the mailboxes themselves are per-(src,dst)
-    // simulator members; see cross_ch_/ret_ch_).
-    std::uint64_t crossings_posted = 0;
     std::int64_t barrier_wait_ns = 0;  ///< Worker idle time at epoch barriers.
-    /// Buckets with pending bulk-insert fixups (scratch; owner-thread only).
-    std::vector<Bucket*> touched;
   };
 
   [[nodiscard]] static std::uint64_t abs_bucket(TimeNs t) {
@@ -529,11 +513,9 @@ class Simulator {
     return std::move(s.slab[idx]);
   }
 
-  /// Files a key into its tier: the overflow heap past the near window, else
-  /// its ring bucket — sifted in, or (`deferred`, the bulk path of mailbox
-  /// drains) appended for a later end_bulk(), which MUST run before any
-  /// peek()/pop on this shard.
-  static void file_key(Shard& s, const HeapEntry& e, bool deferred = false) {
+  /// Sifts a key into its tier: the overflow heap past the near window, else
+  /// its ring bucket.
+  static void file_key(Shard& s, const HeapEntry& e) {
     const std::uint64_t ab = abs_bucket(TimeNs{e.at});
     if (ab >= abs_bucket(s.now) + kNumBuckets) {
       heap_push(s.overflow, e);
@@ -545,15 +527,7 @@ class Simulator {
       b.heap = std::move(s.spare_keys.back());
       s.spare_keys.pop_back();
     }
-    if (!deferred) {
-      heap_push(b, e);
-    } else {
-      if (b.fixup_from == Bucket::kNoFixup) {
-        b.fixup_from = static_cast<std::uint32_t>(b.heap.size());
-        s.touched.push_back(&b);
-      }
-      b.heap.push_back(e);
-    }
+    heap_push(b, e);
     mark_occupied(s, i);
     ++s.ring_size;
     if (ab < s.cursor) s.cursor = ab;
@@ -561,28 +535,6 @@ class Simulator {
 
   static void push(Shard& s, TimeNs t, std::uint64_t h, std::uint32_t k, UniqueFunction&& fn) {
     file_key(s, slab_put(s, t, h, k, std::move(fn)));
-  }
-
-  /// Restores the heap property of every bucket a deferred file_key touched.
-  /// Small batches sift the appended entries one by one; a batch that rivals
-  /// the bucket's population rebuilds the whole heap in O(n).  Pop order is
-  /// the strict (at, h, k, idx) total order either way, so heap layout never
-  /// leaks into the schedule.
-  static void end_bulk(Shard& s) {
-    for (Bucket* b : s.touched) {
-      const std::size_t from = b->fixup_from;
-      const std::size_t size = b->heap.size();
-      if ((size - from) * 4 < size) {
-        for (std::size_t i = from + 1; i <= size; ++i) {
-          std::push_heap(b->heap.begin(),
-                         b->heap.begin() + static_cast<std::ptrdiff_t>(i), Later{});
-        }
-      } else {
-        std::make_heap(b->heap.begin(), b->heap.end(), Later{});
-      }
-      b->fixup_from = Bucket::kNoFixup;
-    }
-    s.touched.clear();
   }
 
   /// Moves the keys of overflow events that now fall inside the near-horizon
@@ -763,7 +715,6 @@ class Simulator {
   void flush_outgoing(int src);
   void absorb(int src, int dst);
   void drain_incoming(Shard& s);
-  void note_injected_progress();
   [[nodiscard]] TimeNs earliest_pending();
   void park_at_last_event(TimeNs floor);
   void worker_main(int shard_index);
@@ -783,8 +734,6 @@ class Simulator {
   TimeNs lookahead_ = TimeNs::max();
   std::uint32_t root_k_ = 0;  ///< FIFO counter for root-context scheduling.
 
-  int epoch_windows_ = 16;  ///< Max rungs per coordinator barrier.
-
   ShardExec exec_request_ = ShardExec::kAuto;
   bool sequential_only_ = false;
   std::vector<std::string> sequential_reasons_;  ///< Deduplicated, first-call order.
@@ -798,7 +747,6 @@ class Simulator {
   int pass_rungs_ = 0;
   std::int64_t rungs_done_ = 0;  ///< Rungs walked in earlier passes.
   std::uint64_t pass_gen_ = 0;
-  std::uint64_t injected_noted_ = 0;  ///< Crossings already reported to prof_.
   std::unique_ptr<obs::Profiler> prof_;  ///< Null = profiling disabled.
 };
 

@@ -18,7 +18,6 @@ CoreAgent::CoreAgent(sim::Simulator& sim, CoreConfig cfg)
 
 void CoreAgent::record_event(obs::EventKind kind, TimeNs now, VmPairId pair, TenantId tenant,
                              std::uint64_t seq, double a, double b) {
-#if !defined(UFAB_OBS_DISABLED)
   if (obs_ == nullptr) return;
   obs::TraceEvent ev;
   ev.at = now;
@@ -30,9 +29,6 @@ void CoreAgent::record_event(obs::EventKind kind, TimeNs now, VmPairId pair, Ten
   ev.a = a;
   ev.b = b;
   obs_->record(ev);
-#else
-  (void)kind; (void)now; (void)pair; (void)tenant; (void)seq; (void)a; (void)b;
-#endif
 }
 
 void CoreAgent::on_probe_egress(sim::Packet& pkt, sim::Link& link, TimeNs now) {
@@ -61,7 +57,6 @@ void CoreAgent::on_probe_egress(sim::Packet& pkt, sim::Link& link, TimeNs now) {
     pkt.telemetry.pop_back();
     return;
   }
-#if !defined(UFAB_OBS_DISABLED)
   if (obs_ != nullptr) {
     obs::TraceEvent ev;
     ev.at = now;
@@ -75,7 +70,6 @@ void CoreAgent::on_probe_egress(sim::Packet& pkt, sim::Link& link, TimeNs now) {
     ev.b = static_cast<double>(rec.queue_bytes);
     obs_->record(ev);
   }
-#endif
 }
 
 int CoreAgent::speed_class_cached(Bandwidth capacity) {

@@ -68,7 +68,6 @@ void EdgeAgent::attach_obs(obs::Obs& obs) {
 
 void EdgeAgent::record_event(obs::EventKind kind, const UfabConnection& c, std::uint64_t seq,
                              double a, double b, std::uint8_t detail) {
-#if !defined(UFAB_OBS_DISABLED)
   if (obs_ == nullptr || !obs_->enabled()) return;
   obs::TraceEvent ev;
   ev.at = simulator().now();
@@ -81,9 +80,6 @@ void EdgeAgent::record_event(obs::EventKind kind, const UfabConnection& c, std::
   ev.a = a;
   ev.b = b;
   obs_->record(ev);
-#else
-  (void)kind; (void)c; (void)seq; (void)a; (void)b; (void)detail;
-#endif
 }
 
 std::unique_ptr<transport::Connection> EdgeAgent::make_connection() {
@@ -341,7 +337,6 @@ void EdgeAgent::handle_probe_at_destination(PacketPtr pkt) {
     ensure_token_timer();
   }
 
-#if !defined(UFAB_OBS_DISABLED)
   if (obs_ != nullptr) {
     obs::TraceEvent ev;
     ev.at = simulator().now();
@@ -353,7 +348,6 @@ void EdgeAgent::handle_probe_at_destination(PacketPtr pkt) {
     ev.a = admitted;
     obs_->record(ev);
   }
-#endif
 
   auto resp = sim::make_packet(simulator().packet_pool(), PacketKind::kProbeResponse, pkt->pair, pkt->tenant, host_id(),
                            pkt->src_host, pkt->size_bytes + 8);

@@ -147,6 +147,7 @@ PoissonFlowGenerator::PoissonFlowGenerator(harness::Fabric& fab, std::vector<VmP
       rng_(rng),
       next_tag_(cfg.tag_base) {
   UFAB_CHECK(!pairs_.empty());
+  UFAB_CHECK_MSG(cfg_.stop < TimeNs::max(), "PoissonFlowGenerator needs a finite stop time");
   // Interpret target_load against the aggregate sending capacity of the
   // distinct source hosts feeding this generator.
   std::vector<bool> seen(fab_.net().host_count(), false);
@@ -163,44 +164,22 @@ PoissonFlowGenerator::PoissonFlowGenerator(harness::Fabric& fab, std::vector<VmP
   fab_.add_delivery_listener([this](const transport::Message& msg, TimeNs at) {
     recorder_.on_delivery(msg.user_tag, at);
   });
-  if (cfg_.stop < TimeNs::max()) {
-    // Bounded horizon: pre-draw the whole arrival schedule up front, with the
-    // same per-arrival draw order as the lazy chain (pair, size, gap), homing
-    // each send on its source host's shard.  The schedule — and every flow
-    // record — is then a pure function of the seed, independent of how the
-    // engine executes.
-    TimeNs t = cfg_.start;
-    while (t < cfg_.stop) {
-      const VmPairId pair = pairs_[rng_.below(pairs_.size())];
-      const std::int64_t size = dist_.sample(rng_);
-      const std::uint64_t tag = next_tag_++;
-      const double guarantee_bps = fab_.vms().vm_guarantee(pair.src).bits_per_sec();
-      recorder_.on_start(tag, t, static_cast<double>(size) * 8.0 / guarantee_bps, size);
-      fab_.schedule_on_host(fab_.vms().host_of(pair.src), t,
-                            [this, pair, size, tag] { fab_.send(pair, size, tag); });
-      const double gap = rng_.exponential(mean_gap_sec_);
-      t += TimeNs{static_cast<std::int64_t>(gap * 1e9)};
-    }
-  } else {
-    // Unbounded: keep the lazy self-scheduling chain.  Each arrival draws
-    // from the shared RNG inside an event, so the draw order would depend on
-    // shard interleaving — pin the engine to one-shard-at-a-time execution.
-    if (fab_.sim().shard_count() > 1) fab_.sim().require_sequential("unbounded-poisson");
-    fab_.sim().at(cfg_.start, [this] { arrival(); });
+  // Pre-draw the whole arrival schedule up front, per arrival in the order
+  // pair, size, gap, homing each send on its source host's shard.  The
+  // schedule — and every flow record — is then a pure function of the seed,
+  // independent of how the engine executes.
+  TimeNs t = cfg_.start;
+  while (t < cfg_.stop) {
+    const VmPairId pair = pairs_[rng_.below(pairs_.size())];
+    const std::int64_t size = dist_.sample(rng_);
+    const std::uint64_t tag = next_tag_++;
+    const double guarantee_bps = fab_.vms().vm_guarantee(pair.src).bits_per_sec();
+    recorder_.on_start(tag, t, static_cast<double>(size) * 8.0 / guarantee_bps, size);
+    fab_.schedule_on_host(fab_.vms().host_of(pair.src), t,
+                          [this, pair, size, tag] { fab_.send(pair, size, tag); });
+    const double gap = rng_.exponential(mean_gap_sec_);
+    t += TimeNs{static_cast<std::int64_t>(gap * 1e9)};
   }
-}
-
-void PoissonFlowGenerator::arrival() {
-  if (fab_.sim().now() >= cfg_.stop) return;
-  const VmPairId pair = pairs_[rng_.below(pairs_.size())];
-  const std::int64_t size = dist_.sample(rng_);
-  const std::uint64_t tag = next_tag_++;
-  const double guarantee_bps = fab_.vms().vm_guarantee(pair.src).bits_per_sec();
-  recorder_.on_start(tag, fab_.sim().now(), static_cast<double>(size) * 8.0 / guarantee_bps,
-                     size);
-  fab_.send(pair, size, tag);
-  const double gap = rng_.exponential(mean_gap_sec_);
-  fab_.sim().after(TimeNs{static_cast<std::int64_t>(gap * 1e9)}, [this] { arrival(); });
 }
 
 }  // namespace ufab::workload

@@ -41,10 +41,9 @@ class OnOffSource {
 
 /// Records flow completion times against expected hose-model FCTs.
 ///
-/// Storage is slot-per-flow: registration (setup time, or a sequential-only
-/// lazy generator) appends a slot; a delivery writes only its own flow's
-/// slot, so deliveries landing on different shard threads never touch shared
-/// state.  Aggregates are rebuilt on demand in registration order —
+/// Storage is slot-per-flow: registration (at setup time) appends a slot; a
+/// delivery writes only its own flow's slot, so deliveries landing on
+/// different shard threads never touch shared state.  Aggregates are rebuilt on demand in registration order —
 /// independent of delivery order, hence identical for every shard count and
 /// execution mode.
 class FlowRecorder {
@@ -88,13 +87,14 @@ class FlowRecorder {
 };
 
 /// Poisson flow arrivals over a set of VM pairs, sizes from an empirical
-/// distribution, targeting an average host-link load (§5.5's workload).
+/// distribution, targeting an average host-link load (§5.5's workload).  The
+/// whole arrival schedule over [start, stop) is drawn at construction.
 class PoissonFlowGenerator {
  public:
   struct Config {
     double target_load = 0.5;      ///< Fraction of host link bandwidth.
     TimeNs start = TimeNs::zero();
-    TimeNs stop = TimeNs::max();
+    TimeNs stop = TimeNs::max();   ///< Must be set: the constructor rejects max().
     std::uint64_t tag_base = 1ull << 40;  ///< user_tag namespace.
   };
 
@@ -104,8 +104,6 @@ class PoissonFlowGenerator {
   [[nodiscard]] FlowRecorder& recorder() { return recorder_; }
 
  private:
-  void arrival();
-
   harness::Fabric& fab_;
   std::vector<VmPairId> pairs_;
   EmpiricalSizeDist dist_;

@@ -63,11 +63,9 @@ class EnvGuard {
 };
 
 /// `pin_links` gives every link wire-exit events before traffic — the
-/// reference the plain link pipe must reproduce.  `windows` > 0 sets the
-/// lookahead windows per epoch barrier on the experiment's simulator.
-/// `before_traffic`, when set, runs on the fabric just before traffic starts.
+/// reference the plain link pipe must reproduce.  `before_traffic`, when set,
+/// runs on the fabric just before traffic starts.
 Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = false,
-                        int windows = 0,
                         const std::function<void(harness::Fabric&)>& before_traffic = {}) {
   Experiment exp(
       scheme,
@@ -77,7 +75,6 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = fals
       {}, {}, seed);
   auto& fab = exp.fab();
   auto& vms = fab.vms();
-  if (windows > 0) fab.sim().set_epoch_windows(windows);
   if (pin_links) {
     for (sim::Link* link : fab.net().links()) link->enable_wire_exit();
   }
@@ -116,10 +113,10 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool pin_links = fals
 
 /// `shards == nullptr` leaves UFAB_SHARDS unset: the plain serial engine.
 Snapshot run_with_shards(const char* shards, const char* exec, Scheme scheme,
-                         std::uint64_t seed, int windows = 0, bool pin_links = false) {
+                         std::uint64_t seed, bool pin_links = false) {
   EnvGuard g1("UFAB_SHARDS", shards);
   EnvGuard g2("UFAB_SHARD_EXEC", exec);
-  return run_tiny_fig17(scheme, seed, pin_links, windows);
+  return run_tiny_fig17(scheme, seed, pin_links);
 }
 
 TEST(ShardedDeterminism, OneTwoFourEightShardsAreBitIdentical) {
@@ -142,16 +139,17 @@ TEST(ShardedDeterminism, ThreadedExecutionMatchesSequential) {
   EXPECT_EQ(seq, thr);
 }
 
-TEST(ShardedDeterminism, AdaptiveEpochsAreScheduleNeutral) {
-  // One barrier per lookahead window is the reference; multi-window epochs
-  // (any width, either executor) must reproduce it bit for bit.
-  const Snapshot one = run_with_shards("4", "seq", Scheme::kUfab, 41, 1);
+TEST(ShardedDeterminism, EveryExecutorAndShardCountMatchesOneShard) {
+  // The 1-shard run is the reference; the rung ladder on either executor, at
+  // any shard count, must reproduce it bit for bit.
+  const Snapshot one = run_with_shards("1", nullptr, Scheme::kUfab, 41);
   ASSERT_FALSE(one.fct_us.empty());
-  EXPECT_EQ(one, run_with_shards("4", "seq", Scheme::kUfab, 41, 4));
-  EXPECT_EQ(one, run_with_shards("4", "seq", Scheme::kUfab, 41, 16));
-  EXPECT_EQ(one, run_with_shards("4", "threads", Scheme::kUfab, 41, 16));
-  EXPECT_EQ(one, run_with_shards("8", "threads", Scheme::kUfab, 41, 16));
-  EXPECT_EQ(one, run_with_shards("8", "seq", Scheme::kUfab, 41, 1));
+  for (const char* shards : {"2", "4", "8"}) {
+    for (const char* exec : {"seq", "threads"}) {
+      EXPECT_EQ(one, run_with_shards(shards, exec, Scheme::kUfab, 41))
+          << shards << " shards, " << exec;
+    }
+  }
 }
 
 TEST(ShardedDeterminism, PlainEngineMatchesOneShard) {
@@ -168,7 +166,7 @@ TEST(ShardedDeterminism, FusedLinksMatchLegacySerializerBitForBit) {
   // default) every observable statistic must survive byte for byte — only
   // the event count may change, and it must shrink.
   auto run_fused = [](const char* shards, const char* exec, bool pinned) {
-    return run_with_shards(shards, exec, Scheme::kUfab, 41, 0, pinned);
+    return run_with_shards(shards, exec, Scheme::kUfab, 41, pinned);
   };
   const Snapshot legacy = run_fused("1", nullptr, true);
   const Snapshot fused = run_fused("1", nullptr, false);
@@ -215,7 +213,7 @@ TEST(ShardedDeterminism, CrossShardTelemetryReadsArePassive) {
     poller->read = read;
     EnvGuard g1("UFAB_SHARDS", "2");
     EnvGuard g2("UFAB_SHARD_EXEC", "seq");
-    return run_tiny_fig17(Scheme::kUfab, 41, false, 0, [poller](harness::Fabric& f) {
+    return run_tiny_fig17(Scheme::kUfab, 41, false, [poller](harness::Fabric& f) {
       EXPECT_EQ(f.sim().shard_count(), 2);
       poller->fab = &f;
       f.schedule_global(TimeNs{10'000}, [poller] { poller->tick(); });

@@ -205,10 +205,10 @@ class ArrivalLog final : public Node {
 
 TEST(CalendarQueue, ShardedCrossingsLandInEmptyBuckets) {
   // Shard 0 runs a sparse chain; every step hands a packet to shard 1, which
-  // holds nothing else, so each crossing is bulk-inserted (a deferred
-  // file_key) into an empty ring bucket — or, when it lands more than a ring ahead of
-  // shard 1's clock, into the overflow tier.  Both executors must deliver
-  // every packet at its posted time, in time order.
+  // holds nothing else, so each drained crossing is pushed into an empty ring
+  // bucket — or, when it lands more than a ring ahead of shard 1's clock,
+  // into the overflow tier.  Both executors must deliver every packet at its
+  // posted time, in time order.
   constexpr std::int64_t kLookahead = 2'000;
   constexpr int kSteps = 400;
   auto delay_of = [](int step) -> std::int64_t {

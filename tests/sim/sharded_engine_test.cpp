@@ -3,6 +3,7 @@
 // threaded epoch run fires the exact same schedule as a sequential one.
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -88,14 +89,31 @@ struct TwoShardRun {
   std::vector<std::pair<std::int64_t, std::int64_t>> arrivals[2];
   std::vector<std::int64_t> chain_times[2];
   std::uint64_t events = 0;
-  std::uint64_t crossings[2] = {0, 0};
+  std::uint64_t posted[2] = {0, 0};     ///< Crossings each chain posted.
+  std::uint64_t crossings[2] = {0, 0};  ///< shard_crossings_out per chain shard.
   std::int64_t final_now = 0;
   std::int64_t clock[2] = {0, 0};  ///< Each shard's clock after the run.
-  std::uint64_t dispatched = 0;    ///< Profiled runs: dispatch-category calls.
-  double run_wall_ns = 0;          ///< Profiled runs: attributed run wall time.
+  // Profiled runs only:
+  std::uint64_t dispatched = 0;  ///< Dispatch-category calls.
+  double run_wall_ns = 0;        ///< Attributed run wall time.
+  std::uint64_t epochs = 0;      ///< Coordinator barriers.
+  std::uint64_t windows = 0;     ///< Rungs walked.
+  std::string profile;           ///< profile_json().
 };
 
 constexpr std::int64_t kLookahead = 1000;
+constexpr TimeNs kEnd{40'000};  ///< run_two_shard_workload's horizon.
+
+/// Every unsigned value of `"key": N` in `json`, in document order.
+std::vector<std::uint64_t> json_uints(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  std::vector<std::uint64_t> out;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    out.push_back(std::stoull(json.substr(at + needle.size())));
+  }
+  return out;
+}
 
 /// Sum of both dispatch-category call counts over every shard slice.
 std::uint64_t dispatch_count(const Simulator& sim) {
@@ -109,17 +127,14 @@ std::uint64_t dispatch_count(const Simulator& sim) {
 }
 
 /// `shards == 1` is the serial reference: both chains on one plain engine,
-/// each crossing a local delivery under the same child key.  `drain` runs
-/// with run() instead of run_until().  A non-null `epochs_out` profiles the
-/// run.
-TwoShardRun run_two_shard_workload(ShardExec exec, int windows = 16,
-                                   std::uint64_t* epochs_out = nullptr, int shards = 2,
-                                   bool drain = false) {
-  constexpr TimeNs kEnd{40'000};
+/// each crossing a local delivery under the same child key.  With more
+/// shards the chains run on shards 0 and 1 and the rest idle.  `drain` runs
+/// with run() instead of run_until(kEnd).
+TwoShardRun run_two_shard_workload(ShardExec exec, int shards = 2, bool drain = false,
+                                   bool profiled = false) {
   Simulator sim;
   if (shards > 1) sim.configure_shards(shards, TimeNs{kLookahead}, exec);
-  sim.set_epoch_windows(windows);
-  if (epochs_out != nullptr) {
+  if (profiled) {
     obs::ProfOptions popts;
     popts.level = 1;
     sim.enable_profiling(popts);
@@ -135,11 +150,13 @@ TwoShardRun run_two_shard_workload(ShardExec exec, int windows = 16,
     RecordingNode* peer;
     int self;
     std::vector<std::int64_t>* times;
+    std::uint64_t* posted;
     int step = 0;
     void fire() {
       times->push_back(sim->now().ns());
       ++step;
       if (step % 3 == 0) {
+        ++*posted;
         auto pkt =
             make_packet(sim->packet_pool(), PacketKind::kData, VmPairId{VmId{1}, VmId{2}},
                         TenantId{0}, HostId{0}, HostId{1}, 64 * self + step);
@@ -156,7 +173,7 @@ TwoShardRun run_two_shard_workload(ShardExec exec, int windows = 16,
   };
   auto* chains = new Chain[2];
   for (int s = 0; s < 2; ++s) {
-    chains[s] = Chain{&sim, nodes[1 - s], s, &out.chain_times[s]};
+    chains[s] = Chain{&sim, nodes[1 - s], s, &out.chain_times[s], &out.posted[s]};
     const auto scope = sim.scoped(s % shards);
     sim.at(TimeNs{10 + s}, [chain = &chains[s]] { chain->fire(); });
   }
@@ -174,10 +191,12 @@ TwoShardRun run_two_shard_workload(ShardExec exec, int windows = 16,
   }
   out.events = sim.events_processed();
   out.final_now = sim.now().ns();
-  if (epochs_out != nullptr) {
-    *epochs_out = sim.profiler()->epochs();
+  if (profiled) {
     out.dispatched = dispatch_count(sim);
     out.run_wall_ns = sim.profiler()->run_wall_ns();
+    out.epochs = sim.profiler()->epochs();
+    out.windows = sim.profiler()->windows();
+    out.profile = sim.profile_json();
   }
   delete[] chains;
   delete nodes[0];
@@ -212,45 +231,59 @@ TEST(ShardedEngine, ThreadedEpochsMatchSequentialExactly) {
   EXPECT_EQ(seq.final_now, thr.final_now);
 }
 
-TEST(ShardedEngine, AdaptiveEpochsAreScheduleNeutral) {
-  // Every (windows, exec) combination must fire the identical schedule:
-  // multi-window epochs only change *when barriers happen*, never what runs
-  // between them (DESIGN.md §12).
-  const TwoShardRun base = run_two_shard_workload(ShardExec::kSequential, 1);
-  ASSERT_GT(base.chain_times[0].size(), 10u);
-  struct Combo {
-    ShardExec exec;
-    int windows;
-  };
-  for (const Combo c : {Combo{ShardExec::kSequential, 4}, Combo{ShardExec::kSequential, 16},
-                        Combo{ShardExec::kThreads, 1}, Combo{ShardExec::kThreads, 4},
-                        Combo{ShardExec::kThreads, 16}}) {
-    const TwoShardRun run = run_two_shard_workload(c.exec, c.windows);
-    for (int s = 0; s < 2; ++s) {
-      EXPECT_EQ(base.chain_times[s], run.chain_times[s])
-          << "windows=" << c.windows << " shard " << s;
-      EXPECT_EQ(base.arrivals[s], run.arrivals[s]) << "shard " << s;
-      EXPECT_EQ(base.crossings[s], run.crossings[s]) << "shard " << s;
+TEST(ShardedEngine, EveryExecutorAndShardCountMatchesOneShard) {
+  // The 1-shard run is the reference: both executors, on two shards and on
+  // four (two of them idle), fire its schedule and stop every clock at the
+  // horizon.  The rung ladder changes only *when* shards synchronize, never
+  // what runs between synchronizations (DESIGN.md §12).
+  const TwoShardRun serial = run_two_shard_workload(ShardExec::kSequential, /*shards=*/1);
+  ASSERT_GT(serial.chain_times[0].size(), 10u);
+  ASSERT_FALSE(serial.arrivals[0].empty());
+  ASSERT_FALSE(serial.arrivals[1].empty());
+  for (const int shards : {2, 4}) {
+    for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
+      const TwoShardRun run = run_two_shard_workload(exec, shards);
+      for (int s = 0; s < 2; ++s) {
+        EXPECT_EQ(serial.chain_times[s], run.chain_times[s]) << shards << " shards, shard " << s;
+        EXPECT_EQ(serial.arrivals[s], run.arrivals[s]) << shards << " shards, shard " << s;
+        EXPECT_EQ(run.clock[s], kEnd.ns()) << shards << " shards, shard " << s;
+      }
+      EXPECT_EQ(serial.events, run.events) << shards << " shards";
+      EXPECT_EQ(serial.final_now, run.final_now) << shards << " shards";
     }
-    EXPECT_EQ(base.events, run.events);
-    EXPECT_EQ(base.final_now, run.final_now);
   }
 }
 
 TEST(ShardedEngine, AdaptiveEpochsAmortizeBarriers) {
-  // Same workload, profiled: 16-window epochs must reach the horizon with
-  // several-fold fewer coordinator barriers than one window per epoch (this
-  // is the whole point of multi-window epochs).
-  std::uint64_t one = 0;
-  std::uint64_t sixteen = 0;
-  const TwoShardRun a = run_two_shard_workload(ShardExec::kSequential, 1, &one);
-  const TwoShardRun b = run_two_shard_workload(ShardExec::kSequential, 16, &sixteen);
-  EXPECT_EQ(a.events, b.events);
-  ASSERT_GT(one, 0u);
-  ASSERT_GT(sixteen, 0u);
-  EXPECT_LE(sixteen * 4, one)
-      << "16-window epochs should amortize >=4x fewer barriers (windows=1: " << one
-      << ", windows=16: " << sixteen << ")";
+  // Same workload, profiled: a pass walks up to 16 rungs per coordinator
+  // barrier, so reaching the horizon takes at most a quarter as many
+  // barriers as the horizon spans lookaheads, at four or more rungs each.
+  const TwoShardRun run =
+      run_two_shard_workload(ShardExec::kSequential, 2, /*drain=*/false, /*profiled=*/true);
+  ASSERT_GT(run.epochs, 0u);
+  EXPECT_LE(run.epochs * 4, static_cast<std::uint64_t>(kEnd.ns() / kLookahead))
+      << run.epochs << " barriers";
+  EXPECT_GE(run.windows, 4 * run.epochs)
+      << run.windows << " rungs over " << run.epochs << " barriers";
+}
+
+TEST(ShardedEngine, CrossingsAreCountedOnceFromTheMailboxes) {
+  // A shard's crossing count is its outgoing mailboxes' post count: it equals
+  // what the workload posted, the profile's per-shard crossings_out reports
+  // it, and their sum is the profile's epochs.crossings_injected.
+  for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
+    const TwoShardRun run = run_two_shard_workload(exec, 2, /*drain=*/false, /*profiled=*/true);
+    ASSERT_GT(run.posted[0], 0u);
+    ASSERT_GT(run.posted[1], 0u);
+    const std::vector<std::uint64_t> out = json_uints(run.profile, "crossings_out");
+    ASSERT_EQ(out.size(), 2u);
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(run.crossings[s], run.posted[s]) << "shard " << s;
+      EXPECT_EQ(out[static_cast<std::size_t>(s)], run.posted[s]) << "shard " << s;
+    }
+    EXPECT_EQ(json_uints(run.profile, "crossings_injected"),
+              std::vector<std::uint64_t>{out[0] + out[1]});
+  }
 }
 
 TEST(ShardedEngine, DrainMatchesSerialRun) {
@@ -259,14 +292,14 @@ TEST(ShardedEngine, DrainMatchesSerialRun) {
   // sharded one on every shard, although window boundaries parked the clocks
   // past it mid-run.
   const TwoShardRun serial =
-      run_two_shard_workload(ShardExec::kSequential, 16, nullptr, /*shards=*/1, /*drain=*/true);
+      run_two_shard_workload(ShardExec::kSequential, /*shards=*/1, /*drain=*/true);
   ASSERT_GT(serial.chain_times[0].size(), 10u);
   ASSERT_FALSE(serial.arrivals[0].empty());
   ASSERT_FALSE(serial.arrivals[1].empty());
   EXPECT_EQ(serial.final_now, std::max(last_event(serial, 0), last_event(serial, 1)));
   std::int64_t seq_clock[2] = {0, 0};
   for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
-    const TwoShardRun run = run_two_shard_workload(exec, 16, nullptr, 2, /*drain=*/true);
+    const TwoShardRun run = run_two_shard_workload(exec, 2, /*drain=*/true);
     for (int s = 0; s < 2; ++s) {
       EXPECT_EQ(serial.chain_times[s], run.chain_times[s]) << "shard " << s;
       EXPECT_EQ(serial.arrivals[s], run.arrivals[s]) << "shard " << s;
@@ -289,15 +322,14 @@ TEST(ShardedEngine, ProfiledDrainAttributesEveryEvent) {
   // sends every event through the attribution step, accounts its run wall
   // time, and fires the unprofiled schedule.
   const TwoShardRun plain =
-      run_two_shard_workload(ShardExec::kSequential, 16, nullptr, /*shards=*/1, /*drain=*/true);
+      run_two_shard_workload(ShardExec::kSequential, /*shards=*/1, /*drain=*/true);
   struct Config {
     int shards;
     ShardExec exec;
   };
   for (const Config c : {Config{1, ShardExec::kSequential}, Config{2, ShardExec::kSequential},
                          Config{2, ShardExec::kThreads}}) {
-    std::uint64_t epochs = 0;
-    const TwoShardRun run = run_two_shard_workload(c.exec, 16, &epochs, c.shards, true);
+    const TwoShardRun run = run_two_shard_workload(c.exec, c.shards, true, /*profiled=*/true);
     EXPECT_EQ(run.dispatched, run.events) << c.shards << " shards";
     EXPECT_GT(run.run_wall_ns, 0.0) << c.shards << " shards";
     EXPECT_EQ(plain.events, run.events);
@@ -366,11 +398,9 @@ struct HorizonRun {
   std::size_t pending = 0;
 };
 
-HorizonRun run_to_horizon(int shards, ShardExec exec, std::int64_t first, std::int64_t t,
-                          int windows) {
+HorizonRun run_to_horizon(int shards, ShardExec exec, std::int64_t first, std::int64_t t) {
   Simulator sim;
   if (shards > 1) sim.configure_shards(shards, TimeNs{kLookahead}, exec);
-  sim.set_epoch_windows(windows);
   HorizonRun out;
   RecordingNode sink(sim, 1);
   struct Stepper {
@@ -411,20 +441,19 @@ TEST(ShardedEngine, HorizonRungFiresCrossingsLandingAtTheHorizon) {
   // The rung that reaches t runs events at exactly t, so a crossing posted
   // one lookahead earlier fires inside run_until(t) on both executors, and
   // every clock ends at t.  Three ladders: t - base a multiple of L, not a
-  // multiple, and more rungs than one pass holds.
+  // multiple, and more rungs than one pass holds (16), so the horizon rung
+  // runs in the second pass.
   struct Case {
     std::int64_t first;
     std::int64_t t;
-    int windows;
   };
-  for (const Case c :
-       {Case{100, 100 + 4 * kLookahead, 16}, Case{100, 100 + 3 * kLookahead + 250, 16},
-        Case{100, 100 + 6 * kLookahead + 333, 2}}) {
-    const HorizonRun serial = run_to_horizon(1, ShardExec::kSequential, c.first, c.t, c.windows);
+  for (const Case c : {Case{100, 100 + 4 * kLookahead}, Case{100, 100 + 3 * kLookahead + 250},
+                       Case{100, 100 + 20 * kLookahead + 333}}) {
+    const HorizonRun serial = run_to_horizon(1, ShardExec::kSequential, c.first, c.t);
     ASSERT_EQ(serial.arrivals.size(), 1u);
     EXPECT_EQ(serial.arrivals[0].first, c.t);
     for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
-      const HorizonRun run = run_to_horizon(2, exec, c.first, c.t, c.windows);
+      const HorizonRun run = run_to_horizon(2, exec, c.first, c.t);
       EXPECT_EQ(run.chain, serial.chain) << "t=" << c.t;
       EXPECT_EQ(run.arrivals, serial.arrivals) << "t=" << c.t;
       EXPECT_EQ(run.events, serial.events) << "t=" << c.t;

@@ -123,6 +123,22 @@ TEST(PoissonGenerator, CompletesFlowsNearTargetLoad) {
             0.95 * static_cast<double>(gen.recorder().started()));
 }
 
+TEST(PoissonGeneratorDeathTest, UnboundedStopDiesAtConstruction) {
+  // The generator draws its whole arrival schedule when it is built, so the
+  // default stop time, TimeNs::max(), fails loudly instead of being accepted.
+  EXPECT_DEATH(
+      {
+        AppWorld w(Scheme::kUfab, 2, 2);
+        auto& vms = w.fab.vms();
+        const TenantId t = vms.add_tenant("A", 2_Gbps);
+        const VmId a = vms.add_vm(t, HostId{0});
+        const VmId c = vms.add_vm(t, HostId{2});
+        PoissonFlowGenerator gen(w.fab, {VmPairId{a, c}}, EmpiricalSizeDist::key_value(),
+                                 PoissonFlowGenerator::Config{}, w.fab.rng().fork("gen"));
+      },
+      "PoissonFlowGenerator needs a finite stop time");
+}
+
 TEST(Rpc, MemcachedClosedLoopCompletesQueries) {
   AppWorld w(Scheme::kUfab, 2, 2);
   auto& vms = w.fab.vms();
