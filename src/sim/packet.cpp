@@ -120,7 +120,14 @@ Packet* PacketPool::take() {
   return p;
 }
 
-void PacketPool::put_direct(Packet* p) {
+PacketPtr PacketPool::copy_of(const Packet& src) {
+  Packet* p = take();
+  *p = src;
+  p->origin_pool = this;
+  return PacketPtr{p};
+}
+
+void PacketPool::put(Packet* p) {
   p->reset_for_reuse();
   free_.push_back(p);
   ++recycled_;

@@ -15,34 +15,24 @@
 // regardless of what ran earlier in the process — a requirement once bench
 // variants execute concurrently (harness::ParallelSweep).
 //
-// Sharded ownership handoff (DESIGN.md §12): a pool is owned by one shard,
-// and a cross-shard packet now *travels* — the destination shard holds a
-// packet whose origin_pool belongs to the source shard.  During threaded
-// passes a release on a foreign thread must not touch the owner's freelist,
-// so the engine arms a foreign-release guard: put() detects that the calling
-// thread is not the owning shard and hands the packet to the engine's sink
-// (a per-shard-pair return channel) instead; the owner drains it back at the
-// next window boundary via put_direct().  With the guard disarmed (serial
-// engine, sequential epochs, setup/teardown) put() is the plain freelist
-// push it always was.
+// One pool per packet (DESIGN.md §12.3): each engine shard owns one pool,
+// and a packet lives and dies on the shard whose pool made it.  A crossing
+// to another shard carries a copy (copy_of, taken from the destination
+// shard's pool), and the original goes back to its own pool on its own
+// thread, so put() is the plain freelist push on every engine.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "src/core/shard_context.hpp"
-
 namespace ufab::sim {
 
 struct Packet;
+struct PacketDeleter;
 
 class PacketPool {
  public:
-  /// Routes a foreign-thread release (engine-provided; posts to the return
-  /// channel from the *calling* shard back to this pool's owner shard).
-  using ForeignSink = void (*)(void* ctx, PacketPool* owner, Packet* p);
-
   PacketPool();  // out of line: members hold the then-incomplete Packet
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
@@ -52,29 +42,13 @@ class PacketPool {
   /// wraps it in a PacketPtr (Packet::make does this).
   [[nodiscard]] Packet* take();
 
-  /// Returns a packet to the freelist (called by PacketPtr's deleter).
-  /// With the foreign guard armed, a call from a thread currently executing
-  /// a different shard is rerouted to the sink instead of touching the
-  /// freelist (one predictable branch on the unarmed hot path).
-  void put(Packet* p) {
-    if (sink_ != nullptr && ufab::current_shard_index() != owner_shard_) {
-      sink_(sink_ctx_, this, p);
-      return;
-    }
-    put_direct(p);
-  }
+  /// A packet of this pool holding every field of `src`, its id included;
+  /// only origin_pool differs.  Draws no id.
+  [[nodiscard]] std::unique_ptr<Packet, PacketDeleter> copy_of(const Packet& src);
 
-  /// The plain freelist return, bypassing the foreign guard.  Engine-side
-  /// drain paths use it when handing returned packets back to the owner.
-  void put_direct(Packet* p);
-
-  /// Arms (sink != nullptr) or disarms (nullptr) the foreign-release guard.
-  /// Engine-only: armed just for threaded multi-shard execution.
-  void set_foreign_guard(int owner_shard, ForeignSink sink, void* ctx) {
-    owner_shard_ = owner_shard;
-    sink_ = sink;
-    sink_ctx_ = ctx;
-  }
+  /// Resets a packet and returns it to the freelist (called by PacketPtr's
+  /// deleter).
+  void put(Packet* p);
 
   [[nodiscard]] std::uint64_t next_packet_id() { return next_id_++; }
 
@@ -86,9 +60,6 @@ class PacketPool {
   /// Most packets simultaneously live over the pool's lifetime (shard
   /// imbalance shows up here: a hot shard's pool peaks far above the rest).
   [[nodiscard]] std::size_t in_use_high_water() const { return in_use_hwm_; }
-  /// The shard whose thread may touch the freelist directly (0 when the
-  /// guard has never been armed).
-  [[nodiscard]] int owner_shard() const { return owner_shard_; }
 
  private:
   static constexpr std::size_t kChunkPackets = 256;
@@ -101,11 +72,6 @@ class PacketPool {
   std::uint64_t recycled_ = 0;
   std::size_t in_use_ = 0;
   std::size_t in_use_hwm_ = 0;
-
-  // Foreign-release guard (armed only for threaded multi-shard runs).
-  int owner_shard_ = 0;
-  ForeignSink sink_ = nullptr;
-  void* sink_ctx_ = nullptr;
 };
 
 }  // namespace ufab::sim

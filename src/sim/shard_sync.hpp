@@ -9,12 +9,15 @@
 // every published entry.  That amortizes the cross-core cache-line
 // traffic of the old per-entry vector to one line per 64 entries plus one
 // atomic per batch — the "cache-line-friendly chunks with a single size/flag
-// publish" design from DESIGN.md §12.  Drained chunks go back to a spare
-// list on the writer's side, so a channel's memory follows what it carries
-// at once, not the total it has carried.  Positions start at 0 and never
-// wrap, so the writer's tail is also the channel's post count.  Between
-// coordinator barriers the usual quiesced-owner discipline applies, so the
-// coordinator may read the stats while workers are parked.
+// publish" design from DESIGN.md §12.  The reader gets each entry by
+// reference and the writer releases it, so what an entry owns (a crossing's
+// original packet) is freed on the writer's own thread.  Drained chunks go
+// back to a spare list on the writer's side, so a channel's memory follows
+// what it carries at once, not the total it has carried.  Positions start
+// at 0 and never wrap, so the writer's tail is also the channel's post
+// count.  Between coordinator barriers the usual quiesced-owner discipline
+// applies, so the coordinator may read the stats and release drained
+// entries while workers are parked.
 //
 // ShardClockSlot is the per-shard published progress that lets shards
 // self-synchronize at rung ends *inside* an epoch without a condvar barrier:
@@ -49,7 +52,14 @@ namespace ufab::sim {
 /// Roles (enforced by the engine's pass structure, not by the type):
 ///   * writer — post() any number of entries, then flush() once per batch;
 ///   * reader — drain() everything published so far;
-///   * coordinator (both sides quiesced at a barrier) — may read the stats.
+///   * coordinator (both sides quiesced at a barrier) — may read the stats
+///     and release_drained().
+///
+/// An entry lives in its slot from post() until it is released: reset to
+/// T{} by the writer's first post() after the reader's head passed it, by
+/// release_drained(), or by ~ShardMailbox.  A drained entry therefore
+/// outlives its drain, and an undrained one is never touched before the
+/// destructor.
 ///
 /// Entry positions are 64-bit and grow monotonically (they never wrap);
 /// position p lives in slot (p / kChunkItems) % kMaxChunks of the chunk
@@ -75,11 +85,13 @@ class ShardMailbox {
 
   // --- writer side ---
 
+  /// Appends `v`, first releasing every entry the reader has drained.
   void post(T v) {
     const std::uint64_t pos = tail_;
     const std::uint64_t head = head_.load(std::memory_order_acquire);
     UFAB_CHECK_MSG(pos - head < kChunkItems * kMaxChunks,
                    "shard mailbox overflow: one pass posted too many crossings");
+    release_below(head);
     Chunk*& slot = chunks_[(pos / kChunkItems) % kMaxChunks];
     if (slot == nullptr) slot = take_chunk(head);
     slot->items[pos % kChunkItems] = std::move(v);
@@ -94,19 +106,22 @@ class ShardMailbox {
     ++flushes_;
   }
 
+  /// Releases every drained entry the writer has not yet released.  Only
+  /// with both sides quiesced (the coordinator between runs).
+  void release_drained() { release_below(head_.load(std::memory_order_relaxed)); }
+
   // --- reader side ---
 
-  /// Consumes every published entry in post order, invoking `fn(T&&)` on
-  /// each.  Returns the batch size (0 when nothing was published).
+  /// Hands every published entry to `fn(T&)` in post order, leaving it in
+  /// its slot for the writer to release.  Returns the batch size (0 when
+  /// nothing was published).
   template <typename Fn>
   std::size_t drain(Fn&& fn) {
     const std::uint64_t avail = published_.load(std::memory_order_acquire);
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (avail == head) return 0;
     const auto batch = static_cast<std::size_t>(avail - head);
-    for (std::uint64_t pos = head; pos < avail; ++pos) {
-      fn(std::move(chunks_[(pos / kChunkItems) % kMaxChunks]->items[pos % kChunkItems]));
-    }
+    for (std::uint64_t pos = head; pos < avail; ++pos) fn(item(pos));
     head_.store(avail, std::memory_order_release);
     ++drains_;
     if (batch > max_batch_) max_batch_ = batch;
@@ -140,11 +155,23 @@ class ShardMailbox {
     T items[kChunkItems];
   };
 
+  [[nodiscard]] T& item(std::uint64_t pos) {
+    return chunks_[(pos / kChunkItems) % kMaxChunks]->items[pos % kChunkItems];
+  }
+
+  /// Resets every entry below `head` (a reader head the caller acquired, or
+  /// read quiesced) that is still unreleased.  The reader's release-store of
+  /// its head ordered its last use of them before this.
+  void release_below(std::uint64_t head) {
+    for (; released_ < head; ++released_) item(released_) = T{};
+  }
+
   /// A chunk for the writer's next, empty slot.  Chunks wholly below `head`
   /// (the acquired reader head) go to the spares first: the reader is done
-  /// with them, and none of their slots has been re-entered, because the
-  /// writer laps onto a slot still holding a chunk only when all 256 are
-  /// full, and then never needs a chunk again.
+  /// with them and post() has released their entries, and none of their
+  /// slots has been re-entered, because the writer laps onto a slot still
+  /// holding a chunk only when all 256 are full, and then never needs a
+  /// chunk again.
   Chunk* take_chunk(std::uint64_t head) {
     for (; reclaimed_ < head / kChunkItems; ++reclaimed_) {
       Chunk*& slot = chunks_[reclaimed_ % kMaxChunks];
@@ -162,6 +189,7 @@ class ShardMailbox {
   // Writer-owned.
   std::uint64_t tail_ = 0;    ///< Next position to post; also the post count.
   std::uint64_t flushes_ = 0;
+  std::uint64_t released_ = 0;   ///< Entries below this are reset.
   std::uint64_t reclaimed_ = 0;  ///< Chunks (pos / kChunkItems) below this are spare.
   std::vector<Chunk*> spare_;    ///< Drained chunks, ready for reuse.
 
@@ -171,9 +199,10 @@ class ShardMailbox {
   std::atomic<std::uint64_t> published_{0};
 
   // Reader-owned.  head_ is the one reader field the writer reads (post's
-  // overflow check and chunk reclaim), so it is atomic: drain's release-store
-  // pairs with that acquire-load, ordering the reader's last use of a slot
-  // before the writer reuses or reclaims it.
+  // overflow check, entry release and chunk reclaim), so it is atomic:
+  // drain's release-store pairs with that acquire-load, ordering the
+  // reader's last use of a slot before the writer releases, reuses or
+  // reclaims it.
   std::atomic<std::uint64_t> head_{0};  ///< Next position to drain.
   std::uint64_t drains_ = 0;
   std::size_t max_batch_ = 0;

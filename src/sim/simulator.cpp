@@ -26,12 +26,12 @@
 // on every shard at once.  The canonical (h, k) keys fix the pop order for
 // any safe ladder, so both executors fire the serial engine's schedule.
 //
-// Cross-shard packets are handed over, not cloned: injection moves the
-// PacketPtr into the destination calendar with its origin pool unchanged,
-// and a release on a foreign shard routes the storage home through a
-// per-(freer, owner) return mailbox (PacketPool's foreign guard, armed only
-// for threaded execution).  absorb pushes each drained crossing into the
-// calendar like any other event, in drain order.
+// One pool per packet: absorb pushes each drained crossing into the
+// calendar like any other event, in drain order, carrying a copy of its
+// packet from the destination shard's pool.  The original stays in its
+// mailbox slot until the writer's next post() releases it into its own pool
+// on its own thread; when a run returns, the coordinator releases what the
+// writers have not.
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
@@ -55,16 +55,12 @@ namespace {
 Simulator::~Simulator() {
   if (barrier_ != nullptr) barrier_->shutdown();
   for (std::thread& w : workers_) w.join();
-  // Teardown releases (pending events, undrained crossings) must reach their
-  // pools directly: with the workers gone there is nobody left to drain a
-  // return mailbox, so disarm every foreign guard before members destruct.
-  for (auto& s : shards_) s->pool.set_foreign_guard(s->index, nullptr, nullptr);
-  // Ownership handoff means a shard's calendar can hold packets born in any
-  // other shard's arena.  Shards destruct member-wise in index order, so
-  // shard 0's pool (and the arena its packets live in) would be freed while
-  // a later shard's pending events still own packets from it.  Drop every
-  // pending event here, while all pools are alive; the cross/return
-  // mailboxes are declared after shards_ and already destruct first.
+  // Setup code can schedule one shard's packet on another shard's calendar.
+  // Shards destruct member-wise in index order, so shard 0's pool (and the
+  // arena its packets live in) could be freed while a later shard's pending
+  // event still owns one of its packets.  Drop every pending event here,
+  // while all pools are alive; the cross mailboxes are declared after
+  // shards_ and already destruct first.
   for (auto& s : shards_) s->slab.clear();
 }
 
@@ -97,14 +93,12 @@ void Simulator::configure_shards(int shards, TimeNs lookahead, ShardExec exec) {
   for (int i = 1; i < shards; ++i) shards_.push_back(std::make_unique<Shard>(i));
   const auto n = static_cast<std::size_t>(shards);
   cross_ch_.resize(n * n);
-  ret_ch_.resize(n * n);
   clocks_.resize(n);
   for (std::size_t src = 0; src < n; ++src) {
     clocks_[src] = std::make_unique<ShardClockSlot>();
     for (std::size_t dst = 0; dst < n; ++dst) {
       if (src == dst) continue;
       cross_ch_[src * n + dst] = std::make_unique<ShardMailbox<Crossing>>();
-      ret_ch_[src * n + dst] = std::make_unique<ShardMailbox<Packet*>>();
     }
   }
 }
@@ -148,22 +142,11 @@ void Simulator::ensure_exec_started() {
   if (sequential_only_) threads = false;
   exec_threads_ = threads;
   if (!threads) return;
-  // Concurrent shards must not touch each other's freelists: arm the
-  // foreign-release guard so a packet freed away from home is posted to the
-  // return mailbox instead (sequential execution keeps the plain fast path).
-  for (auto& s : shards_) {
-    s->pool.set_foreign_guard(s->index, &Simulator::foreign_release_sink, this);
-  }
   barrier_ = std::make_unique<EpochBarrier>(static_cast<int>(shards_.size()) - 1);
   workers_.reserve(shards_.size() - 1);
   for (std::size_t i = 1; i < shards_.size(); ++i) {
     workers_.emplace_back([this, i] { worker_main(static_cast<int>(i)); });
   }
-}
-
-void Simulator::foreign_release_sink(void* ctx, PacketPool* owner, Packet* p) {
-  auto* sim = static_cast<Simulator*>(ctx);
-  sim->ret_ch(ufab::current_shard_index(), owner->owner_shard()).post(p);
 }
 
 void Simulator::worker_main(int shard_index) {
@@ -283,24 +266,19 @@ void Simulator::run_rung(Shard& s, int i) {
 void Simulator::flush_outgoing(int src) {
   const int n = shard_count();
   for (int dst = 0; dst < n; ++dst) {
-    if (dst == src) continue;
-    cross_ch(src, dst).flush();
-    ret_ch(src, dst).flush();
+    if (dst != src) cross_ch(src, dst).flush();
   }
 }
 
-/// Absorbs what `src` published to `dst`: crossings are pushed into `dst`'s
-/// calendar (ownership handoff — the packet travels, its pool does not), and
-/// storage `src` freed on behalf of `dst`'s pool goes home via put_direct
-/// (the caller acts as the owner here, so the foreign guard must not
-/// re-route it).
+/// Absorbs what `src` published to `dst`: each crossing is pushed into
+/// `dst`'s calendar with a copy of its packet from `dst`'s pool.  The
+/// original stays in the mailbox for `src` to release.
 void Simulator::absorb(int src, int dst) {
   Shard& d = *shards_[static_cast<std::size_t>(dst)];
-  cross_ch(src, dst).drain([&d](Crossing&& c) {
+  cross_ch(src, dst).drain([&d](const Crossing& c) {
     UFAB_CHECK_MSG(c.at >= d.now, "cross-shard crossing violates the lookahead bound");
-    push(d, c.at, c.h, c.k, DeliverEvent{c.dst, std::move(c.pkt)});
+    push(d, c.at, c.h, c.k, DeliverEvent{c.dst, d.pool.copy_of(*c.pkt)});
   });
-  ret_ch(src, dst).drain([](Packet*&& p) { p->origin_pool->put_direct(p); });
 }
 
 /// Absorbs everything published to this shard: the drain that ends a rung.
@@ -387,7 +365,9 @@ void Simulator::park_at_last_event(TimeNs floor) {
 
 /// The epoch loop: one pass per coordinator barrier until nothing is
 /// pending at or before `t` (`t == TimeNs::max()` drains).  Every pass
-/// starts with all clocks equal and every mailbox drained.
+/// starts with all clocks equal and every mailbox drained.  With every
+/// shard quiesced at the end, the coordinator releases the drained
+/// crossings the writers have not, so every pool balances between runs.
 void Simulator::run_until_sharded(TimeNs t) {
   ensure_exec_started();
   const ShardScope scope = scoped(0);
@@ -415,6 +395,9 @@ void Simulator::run_until_sharded(TimeNs t) {
   } else {
     // Nothing is left at or before t: idle clocks catch up to the horizon.
     for (auto& s : shards_) s->now = std::max(s->now, t);
+  }
+  for (const auto& ch : cross_ch_) {
+    if (ch != nullptr) ch->release_drained();
   }
 }
 

@@ -42,10 +42,10 @@
 // full propagation delay after the event that posts it, no crossing can land
 // inside the rung that produced it, so a shard never misses a remote event.
 // Cross-shard packets are posted into per-(src,dst) SPSC mailboxes (batched
-// publication, see shard_sync.hpp) and *travel*: the destination shard takes
-// ownership of the packet itself — no clone — and a later release on a
-// foreign shard routes back to the owner pool through a return mailbox
-// (PacketPool's foreign guard).  An *epoch* (one coordinator barrier) spans
+// publication, see shard_sync.hpp), and only copies cross: the destination
+// shard delivers a copy from its own pool, and the original goes back to the
+// source shard's pool on the source's thread.  A packet lives and dies on
+// the shard whose pool made it.  An *epoch* (one coordinator barrier) spans
 // up to kEpochRungs (16) rungs: inside a pass each shard self-synchronizes at
 // rung ends through published per-shard progress (flush mailboxes, publish,
 // spin until peers reach the rung, drain incoming — DESIGN.md §12), which
@@ -212,10 +212,10 @@ class Simulator {
   /// Posts a packet crossing a cut link into `dst_shard`'s calendar: the
   /// delivery fires at absolute time `at` with the same ordering key the
   /// event would have had as a local after() call, so the merged schedule is
-  /// independent of the partition.  The packet itself is handed over —
-  /// ownership transfers to the destination shard; its storage stays with
-  /// the origin pool and returns there through the return mailboxes when the
-  /// destination releases it.  Only valid from inside a running event.
+  /// independent of the partition.  The destination delivers a copy from its
+  /// own pool; `pkt` stays in the mailbox until this shard releases it on a
+  /// later post (or the run returns).  Only valid from inside a running
+  /// event.
   void post_cross(int dst_shard, TimeNs at, Node* dst, PacketPtr pkt) {
     const ChildKey key = alloc_child_key();
     post_cross_keyed(dst_shard, at, dst, std::move(pkt), key.h, key.k);
@@ -404,7 +404,8 @@ class Simulator {
   };
 
   /// One cross-shard packet handoff, carrying the exact ordering key the
-  /// delivery event will use in the destination calendar.
+  /// delivery event will use in the destination calendar.  `pkt` is the
+  /// source shard's original; the destination delivers a copy.
   struct Crossing {
     TimeNs at;
     std::uint64_t h;
@@ -420,7 +421,7 @@ class Simulator {
   static constexpr int kEpochRungs = 16;  ///< Max rungs per coordinator barrier.
 
   /// One event loop: its own clock, calendar and packet pool (its mailboxes
-  /// are per-(src, dst) simulator members, cross_ch_/ret_ch_).  The pool is
+  /// are per-(src, dst) simulator members, cross_ch_).  The pool is
   /// declared first so the event tiers (whose pending closures own packets)
   /// are destroyed while the pool is still alive.
   struct Shard {
@@ -689,12 +690,6 @@ class Simulator {
     return *cross_ch_[static_cast<std::size_t>(src) * shards_.size() +
                       static_cast<std::size_t>(dst)];
   }
-  /// The return mailbox carrying packet storage freed by `freer` back to
-  /// `owner`'s pool (populated only while the foreign guard is armed).
-  [[nodiscard]] ShardMailbox<Packet*>& ret_ch(int freer, int owner) const {
-    return *ret_ch_[static_cast<std::size_t>(freer) * shards_.size() +
-                    static_cast<std::size_t>(owner)];
-  }
 
   /// `shard`'s profiling slice, or nullptr when profiling is off (a null
   /// slice makes obs::ProfScope a no-op).
@@ -718,7 +713,6 @@ class Simulator {
   [[nodiscard]] TimeNs earliest_pending();
   void park_at_last_event(TimeNs floor);
   void worker_main(int shard_index);
-  static void foreign_release_sink(void* ctx, PacketPool* owner, Packet* p);
 
   inline static thread_local ShardScope::Active tls_{nullptr, nullptr};
 
@@ -727,8 +721,6 @@ class Simulator {
   /// Declared after shards_ so pending crossings (which own packets) are
   /// destroyed while every pool is still alive.
   std::vector<std::unique_ptr<ShardMailbox<Crossing>>> cross_ch_;
-  /// Return mailboxes, row-major [freer * n + owner] (diagonal null).
-  std::vector<std::unique_ptr<ShardMailbox<Packet*>>> ret_ch_;
   /// Per-shard published progress (rungs completed) for in-pass sync.
   std::vector<std::unique_ptr<ShardClockSlot>> clocks_;
   TimeNs lookahead_ = TimeNs::max();

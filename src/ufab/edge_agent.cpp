@@ -399,7 +399,7 @@ void EdgeAgent::handle_response(PacketPtr pkt) {
 
 EdgeAgent::PathEvaluation EdgeAgent::evaluate_path(UfabConnection& c, const sim::Packet& resp,
                                                    bool include_self) {
-  PathEvaluation ev{kInf, kInf, kInf, true, true, 0.0};
+  PathEvaluation ev{kInf, kInf, true, true, 0.0};
   const double phi = c.phi();
   const double t_ns = static_cast<double>(c.base_rtt.ns());
 
@@ -475,7 +475,6 @@ EdgeAgent::PathEvaluation EdgeAgent::evaluate_path(UfabConnection& c, const sim:
     ev.w_bytes = c.window;
     ev.r_bps = c.r_path_bps;
   }
-  ev.R_bps = ev.w_bytes * 8e9 / t_ns;
   return ev;
 }
 
@@ -546,7 +545,6 @@ void EdgeAgent::handle_data_response(UfabConnection& c, const sim::Packet& pkt) 
     ++guarantee_degradations_;
     record_event(obs::EventKind::kGuaranteeDegraded, c, pkt.probe.seq, 0.0, 0.0);
     c.r_path_bps = c.phi();
-    c.R_est_bps = c.phi();
     c.window = std::max(bytes_for(c.phi(), c.base_rtt), window_floor(c));
     if (cfg_.two_stage_admission) {
       c.bootstrap = true;  // re-enter the additive ramp when recovering
@@ -554,7 +552,6 @@ void EdgeAgent::handle_data_response(UfabConnection& c, const sim::Packet& pkt) 
     }
   } else {
     c.r_path_bps = eval.r_bps;
-    c.R_est_bps = eval.R_bps;
     c.path_qualified = eval.qualified;
     apply_two_stage(c, eval);
   }
@@ -653,7 +650,7 @@ void EdgeAgent::handle_scout_response(UfabConnection& c, const sim::Packet& pkt)
   if (!c.scouting || pkt.probe.seq != c.scout_round) return;
   const PathEvaluation eval = evaluate_path(c, pkt, /*include_self=*/false);
   c.scout_results.push_back(UfabConnection::ScoutResult{
-      pkt.path_tag.value(), eval.qualified_as_new, eval.subscription_ratio, eval.R_bps});
+      pkt.path_tag.value(), eval.qualified_as_new, eval.subscription_ratio});
   if (--c.scouts_pending <= 0) finish_scouting(c);
 }
 

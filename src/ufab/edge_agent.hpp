@@ -68,10 +68,6 @@ struct EdgeConfig {
   /// matter under bursty many-flow workloads: a lingering registration keeps
   /// reserving Phi_l on five links per idle pair.
   TimeNs idle_finish_timeout = TimeNs{1'000'000};  // 1 ms
-  /// Observation time before a work-conservation migration (30 s in paper).
-  TimeNs wc_migration_observe = TimeNs{30'000'000'000};
-  /// Required gain for a work-conservation migration.
-  double wc_migration_gain = 1.2;
   /// Window floor in bytes (keeps progress under extreme contention).
   double min_window_bytes = 3000.0;
   /// WFQ base weight (tokens mapped to level 0) and quantum.
@@ -120,7 +116,6 @@ struct UfabConnection : transport::Connection {
   double w_stage = 0.0;  ///< Bootstrap additive window (two-stage stage 1).
   bool bootstrap = true;
   double r_path_bps = 0.0;  ///< Eqn 1 guaranteed share along the path.
-  double R_est_bps = 0.0;   ///< Achievable-rate estimate (work conservation).
   bool path_qualified = true;
   TimeNs data_blocked_until = TimeNs::zero();  ///< Reorder-free migration gate.
 
@@ -160,13 +155,9 @@ struct UfabConnection : transport::Connection {
     std::int32_t path_idx;
     bool qualified;
     double subscription_ratio;  ///< max_l (Phi_l + phi) / C_l.
-    double R_bps;
   };
   std::vector<ScoutResult> scout_results;
   int scouts_pending = 0;
-  // Work-conservation migration bookkeeping.
-  TimeNs better_path_since = TimeNs::max();
-  std::int32_t better_path_idx = -1;
 
   // --- token-epoch accounting ---
   std::int64_t bytes_at_epoch = 0;
@@ -225,7 +216,6 @@ class EdgeAgent : public transport::TransportStack {
   struct PathEvaluation {
     double w_bytes;      ///< Eqn 3 window, min over links.
     double r_bps;        ///< Eqn 1 guaranteed share, min over links.
-    double R_bps;        ///< Achievable-rate estimate.
     bool qualified;      ///< C_l >= Phi_l * B_u on all links.
     bool qualified_as_new;  ///< C_l >= (Phi_l + phi) * B_u on all links.
     double subscription_ratio;

@@ -112,6 +112,44 @@ TEST(PacketPool, GrowsInChunksAndReusesFreelist) {
   EXPECT_EQ(pool.recycled_total(), 1000u + 300u);  // every destruction recycled
 }
 
+TEST(PacketPool, CopyHoldsEveryFieldInItsOwnPool) {
+  // A crossing delivers a copy from the destination shard's pool: every
+  // field of the original, its id included, with origin_pool its own.
+  PacketPool src;
+  PacketPool dst;
+  PacketPtr original = make_dirty(src);
+  original->sent_at = TimeNs{1234};
+  PacketPtr copy = dst.copy_of(*original);
+  EXPECT_EQ(copy->origin_pool, &dst);
+  EXPECT_EQ(copy->id, original->id);
+  EXPECT_EQ(copy->kind, PacketKind::kProbe);
+  EXPECT_EQ(copy->pair, original->pair);
+  EXPECT_EQ(copy->tenant, original->tenant);
+  EXPECT_EQ(copy->size_bytes, 1500);
+  EXPECT_EQ(copy->route, original->route);
+  EXPECT_EQ(copy->reverse_route, original->reverse_route);
+  EXPECT_EQ(copy->hop, 2);
+  EXPECT_EQ(copy->seq, 999);
+  EXPECT_EQ(copy->payload, 1400);
+  EXPECT_EQ(copy->message_size, 1 << 20);
+  EXPECT_EQ(copy->sent_at, TimeNs{1234});
+  EXPECT_TRUE(copy->last_of_message);
+  EXPECT_TRUE(copy->ecn_ce);
+  EXPECT_TRUE(copy->ecn_echo);
+  EXPECT_EQ(copy->probe.phi, 3.5);
+  EXPECT_EQ(copy->probe.reg_key, 0xdeadbeefu);
+  EXPECT_TRUE(copy->probe.scout);
+  ASSERT_EQ(copy->telemetry.size(), 2u);
+  EXPECT_EQ(copy->telemetry[1].phi_total, 42.0);
+  // The copy drew no id, and each packet goes back to its own pool.
+  EXPECT_EQ(make_packet(dst, PacketKind::kData, VmPairId{}, TenantId{}, HostId{0}, HostId{1}, 64)
+                ->id,
+            1u);
+  copy.reset();
+  EXPECT_EQ(dst.free_count(), dst.allocated());
+  EXPECT_EQ(src.free_count(), src.allocated() - 1);
+}
+
 TEST(PacketPool, PoolLessPacketsStillWork) {
   // Packet::make without a pool: heap-allocated, origin_pool null, deleter
   // falls back to delete.  (Tests and setup code use this path.)

@@ -1,8 +1,10 @@
 // Sharded-engine semantics: canonical ordering (single- and multi-shard),
-// cross-shard packet handoff timing, and the core equivalence claim — a
-// threaded epoch run fires the exact same schedule as a sequential one.
+// cross-shard packet handoff timing and packet memory, the mailbox's entry
+// lifetimes, and the core equivalence claim — a threaded epoch run fires the
+// exact same schedule as a sequential one.
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -571,6 +573,50 @@ TEST(ShardedEngine, OneBusyShardMatchesSerialRun) {
   }
 }
 
+/// Consumes every packet it receives: each goes back to its pool at once.
+class SinkNode final : public Node {
+ public:
+  SinkNode() : Node(NodeId{1}, "sink") {}
+  void receive(PacketPtr /*pkt*/) override { ++received; }
+  std::uint64_t received = 0;
+};
+
+TEST(ShardedEngine, OneWayStreamKeepsEveryPoolSmallAndBalanced) {
+  // 50,000 packets cross one way, shard 0 to shard 1, into a node that
+  // consumes them.  Only copies cross, so each pool holds about what is in
+  // flight (a few hundred packets) rather than what the stream carried; and
+  // the originals the writer had not released when run() returns are back
+  // in shard 0's pool, so every pool balances.
+  constexpr std::uint64_t kPackets = 50'000;
+  constexpr std::size_t kChunkPackets = 256;
+  for (const ShardExec exec : {ShardExec::kSequential, ShardExec::kThreads}) {
+    Simulator sim;
+    sim.configure_shards(2, TimeNs{kLookahead}, exec);
+    SinkNode sink;
+    struct Source {
+      Simulator* sim;
+      Node* sink;
+      std::uint64_t sent = 0;
+      void fire() {
+        auto pkt = make_packet(sim->packet_pool(), PacketKind::kData, VmPairId{VmId{1}, VmId{2}},
+                               TenantId{0}, HostId{0}, HostId{1}, 1500);
+        sim->post_cross(1, sim->now() + TimeNs{kLookahead}, sink, std::move(pkt));
+        if (++sent < kPackets) sim->after(TimeNs{10}, [this] { fire(); });
+      }
+    };
+    Source source{&sim, &sink};
+    sim.at(TimeNs{10}, [&source] { source.fire(); });
+    sim.run();
+    EXPECT_EQ(sink.received, kPackets);
+    for (int s = 0; s < 2; ++s) {
+      const PacketPool& pool = sim.shard_pool(s);
+      EXPECT_GT(pool.allocated(), 0u) << "shard " << s;
+      EXPECT_EQ(pool.allocated(), pool.free_count()) << "shard " << s;
+      EXPECT_LE(pool.allocated(), 4 * kChunkPackets) << "shard " << s;
+    }
+  }
+}
+
 TEST(ShardedEngine, SetupAndSameShardScopingStayLegal) {
   // Scoping from setup code, and from an event onto its own shard, are the
   // two legal uses of scoped(); the event's follow-up lands on that shard.
@@ -663,27 +709,100 @@ TEST(ShardMailboxUnit, BatchesSpanChunksAndRewind) {
   EXPECT_GE(box.max_drain_batch(), 100u);
 }
 
+/// A mailbox payload that owns entry `*p` the way a crossing owns its
+/// packet: destroying what it owns counts one release of that entry.
+struct CountRelease {
+  std::vector<int>* releases = nullptr;
+  void operator()(const int* p) const {
+    ++(*releases)[static_cast<std::size_t>(*p)];
+    delete p;
+  }
+};
+using Owned = std::unique_ptr<int, CountRelease>;
+
+Owned owned(std::vector<int>& releases, int entry) {
+  return Owned{new int{entry}, CountRelease{&releases}};
+}
+
+TEST(ShardMailboxUnit, DrainedEntriesLiveUntilTheWriterReleasesThem) {
+  // A drain hands entries over by reference and leaves them in their slots.
+  // The writer's next post() releases every drained entry; between runs the
+  // coordinator's release_drained() releases the rest.
+  std::vector<int> releases(8, 0);
+  ShardMailbox<Owned> box;
+  for (int i = 0; i < 5; ++i) box.post(owned(releases, i));
+  box.flush();
+  std::vector<int> seen;
+  const auto read = [&seen](const Owned& v) { seen.push_back(*v); };
+  EXPECT_EQ(box.drain(read), 5u);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(releases, (std::vector<int>{0, 0, 0, 0, 0, 0, 0, 0}));
+  box.post(owned(releases, 5));
+  EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 1, 0, 0, 0}));
+  box.flush();
+  EXPECT_EQ(box.drain(read), 1u);
+  EXPECT_EQ(releases[5], 0);
+  box.release_drained();
+  EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 1, 1, 0, 0}));
+  box.release_drained();  // nothing left to release
+  box.post(owned(releases, 6));
+  EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 1, 1, 0, 0}));
+}
+
+TEST(ShardMailboxUnit, UndrainedEntriesAreReleasedOnlyByTheDestructor) {
+  std::vector<int> releases(8, 0);
+  {
+    ShardMailbox<Owned> box;
+    for (int i = 0; i < 3; ++i) box.post(owned(releases, i));
+    box.flush();
+    box.drain([](const Owned&) {});
+    // Published and unpublished entries the reader has not drained stay
+    // untouched by later posts and by release_drained().
+    for (int i = 3; i < 6; ++i) box.post(owned(releases, i));
+    box.flush();
+    box.post(owned(releases, 6));
+    box.release_drained();
+    box.post(owned(releases, 7));
+    EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
+  }
+  EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 1, 1, 1, 1}));
+}
+
 TEST(ShardMailboxUnit, RoundTripAtTheInFlightBound) {
-  using Box = ShardMailbox<int>;
+  using Box = ShardMailbox<Owned>;
   constexpr int kBound = static_cast<int>(Box::kChunkItems * Box::kMaxChunks);
   static_assert(kBound == 16'384, "the loud in-flight bound moved");
+  constexpr int kLead = 10;
+  constexpr int kRounds = 3;
+  std::vector<int> releases(kLead + kRounds * (kBound - 1), 0);
+  int next = 0;
   Box box;
   std::vector<int> got;
-  const auto take = [&got](int v) { got.push_back(v); };
+  const auto take = [&got](const Owned& v) { got.push_back(*v); };
   // Start 10 entries into a chunk, so each batch of 16,383 laps the 256-slot
   // ring onto the slot of the chunk the reader is still inside.
-  for (int i = 0; i < 10; ++i) box.post(-1);
+  for (int i = 0; i < kLead; ++i) box.post(owned(releases, next++));
   box.flush();
   box.drain(take);
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < kBound - 1; ++i) box.post(round * kBound + i);
+  for (int round = 0; round < kRounds; ++round) {
+    const int first = next;
+    for (int i = 0; i < kBound - 1; ++i) box.post(owned(releases, next++));
     EXPECT_EQ(box.size(), static_cast<std::size_t>(kBound - 1));
+    // The round's first post released every entry drained before it, and
+    // nothing of this round's batch is released before its drain.
+    for (int e = 0; e < next; ++e) {
+      ASSERT_EQ(releases[static_cast<std::size_t>(e)], e < first ? 1 : 0) << "entry " << e;
+    }
     box.flush();
     got.clear();
     box.drain(take);
     ASSERT_EQ(static_cast<int>(got.size()), kBound - 1) << "round " << round;
-    for (int i = 0; i < kBound - 1; ++i) ASSERT_EQ(got[i], round * kBound + i) << "entry " << i;
+    for (int i = 0; i < kBound - 1; ++i) ASSERT_EQ(got[i], first + i) << "entry " << i;
     EXPECT_LE(box.chunks_held(), Box::kMaxChunks);
+  }
+  box.release_drained();
+  for (std::size_t e = 0; e < releases.size(); ++e) {
+    ASSERT_EQ(releases[e], 1) << "entry " << e;
   }
 }
 

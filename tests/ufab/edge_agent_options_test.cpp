@@ -158,7 +158,6 @@ TEST(EdgeOptions, ConfigDefaultsMatchPaper) {
   EXPECT_EQ(cfg.violation_threshold, 5);                 // §3.5, 5 RTTs
   EXPECT_EQ(cfg.freeze_window_max_rtts, 10);             // §5.6, [1,10]
   EXPECT_DOUBLE_EQ(cfg.probe_timeout_rtts, 8.0);         // §4.1
-  EXPECT_EQ(cfg.wc_migration_observe.sec(), 30.0);       // §3.5, 30 s
   EXPECT_TRUE(cfg.two_stage_admission);
 }
 
