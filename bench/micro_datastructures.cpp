@@ -143,31 +143,33 @@ void BM_EventQueueSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSparse);
 
-/// Cross-shard handoff cost: one window's worth of mailbox posts, the single
-/// release-store flush, and the receiver's acquire-drain.
+/// Cross-shard handoff cost: one rung's worth of mailbox posts and the
+/// receiver's drain of that rung's batch.
 void BM_ShardMailbox(benchmark::State& state) {
   sim::ShardMailbox<std::uint64_t> box;
   std::uint64_t sum = 0;
+  std::int64_t rung = 0;
   for (auto _ : state) {
-    for (std::uint64_t i = 0; i < 256; ++i) box.post(i);
-    box.flush();
-    box.drain([&sum](std::uint64_t v) { sum += v; });
+    ++rung;
+    for (std::uint64_t i = 0; i < 256; ++i) box.post(rung, i);
+    box.drain(rung, [&sum](std::uint64_t v) { sum += v; });
   }
   benchmark::DoNotOptimize(sum);
 }
 BENCHMARK(BM_ShardMailbox);
 
-/// Batched handoff at varying batch sizes: amortization of the publish —
-/// posts are plain stores, so per-item cost should fall as the batch grows
-/// (one release/acquire pair per batch, not per item).
+/// Handoff at varying batch sizes: a rung's first post clears its batch,
+/// every other post is a vector append, so per-item cost should fall as the
+/// batch grows.
 void BM_MailboxBatch(benchmark::State& state) {
   sim::ShardMailbox<std::uint64_t> box;
   const auto batch = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t sum = 0;
+  std::int64_t rung = 0;
   for (auto _ : state) {
-    for (std::uint64_t i = 0; i < batch; ++i) box.post(i);
-    box.flush();
-    box.drain([&sum](std::uint64_t v) { sum += v; });
+    ++rung;
+    for (std::uint64_t i = 0; i < batch; ++i) box.post(rung, i);
+    box.drain(rung, [&sum](std::uint64_t v) { sum += v; });
   }
   benchmark::DoNotOptimize(sum);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
@@ -415,12 +417,10 @@ void BM_FlatFib(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatFib)->Arg(0)->Arg(1)->Arg(2);
 
-/// INT record quantization: the legacy wire-struct round trip (encode to the
-/// packed struct, decode back) vs the fused in-place path used on probe
-/// egress (same bit outcomes, no intermediate EncodedIntRecord).  Arg: 0 =
-/// round trip, 1 = inline.
-void BM_IntEncodeInline(benchmark::State& state) {
-  const bool inline_path = state.range(0) != 0;
+/// INT record quantization: the wire-format round trip (encode to the packed
+/// struct, decode back) a quantizing core agent applies to every record it
+/// stamps on probe egress.
+void BM_IntQuantize(benchmark::State& state) {
   sim::IntRecord proto;
   proto.link = LinkId{3};
   proto.phi_total = 2.5e9;
@@ -430,19 +430,14 @@ void BM_IntEncodeInline(benchmark::State& state) {
   proto.tx_rate_hint = Bandwidth::gbps(7.3);
   proto.queue_bytes = 48'000;
   proto.capacity = Bandwidth::gbps(10.0);
-  const int cls = telemetry::IntCodec::speed_class(proto.capacity);
   for (auto _ : state) {
     sim::IntRecord rec = proto;
-    if (inline_path) {
-      telemetry::IntCodec::quantize_inline(rec, cls);
-    } else {
-      telemetry::IntCodec::quantize(rec);
-    }
+    telemetry::IntCodec::quantize(rec);
     benchmark::DoNotOptimize(rec.queue_bytes);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IntEncodeInline)->Arg(0)->Arg(1);
+BENCHMARK(BM_IntQuantize);
 
 /// Cost of one enabled ProfScope token (two clock reads + slice add) — the
 /// per-call price of every level-2 detailed scope (WFQ next, telemetry

@@ -212,7 +212,7 @@ struct ProfContext {
   std::int64_t lookahead_ns = -1;  ///< -1 = unbounded (no cut links).
   int epoch_windows = 1;           ///< Max rungs (lookahead windows) per barrier.
   std::uint64_t handoff_max_batch = 0;  ///< Largest single mailbox drain.
-  std::uint64_t mailbox_flushes = 0;    ///< Batch publications, all mailboxes.
+  std::uint64_t mailbox_flushes = 0;    ///< Non-empty rung batches, all mailboxes.
   std::vector<std::uint64_t> events_per_shard;
   /// Crossings each shard posted; after a pass every one has been injected,
   /// so their sum is the export's `epochs.crossings_injected`.

@@ -47,9 +47,7 @@ struct IntRecord {
 /// Fields specific to probes, responses, and finish probes (section 3.6).
 struct ProbeFields {
   double phi = 0.0;           ///< Pair token currently claimed by the sender.
-  double phi_prev = 0.0;      ///< Token value last registered at switches.
   double window = 0.0;        ///< Pair window (bytes) currently claimed.
-  double window_prev = 0.0;   ///< Window last registered at switches.
   double phi_receiver = 0.0;  ///< Receiver-admitted token (set in the response).
   std::uint64_t seq = 0;      ///< Per-(pair, path) probe sequence number.
   std::uint64_t reg_key = 0;  ///< Switch registration key: hash of (pair, path).

@@ -1,40 +1,36 @@
 // Synchronization primitives for the sharded engine.
 //
-// ShardMailbox is the cross-shard handoff channel: a single-producer /
-// single-consumer ring of fixed-size chunks with *batched* publication.  The
-// writer (the source shard, during its pass) appends entries into chunk
-// arrays with plain stores and makes a whole batch visible with ONE
-// release-store of the published count (`flush()`); the reader (the
-// destination shard, at a rung end) acquires that count once and drains
-// every published entry.  That amortizes the cross-core cache-line
-// traffic of the old per-entry vector to one line per 64 entries plus one
-// atomic per batch — the "cache-line-friendly chunks with a single size/flag
-// publish" design from DESIGN.md §12.  The reader gets each entry by
-// reference and the writer releases it, so what an entry owns (a crossing's
-// original packet) is freed on the writer's own thread.  Drained chunks go
-// back to a spare list on the writer's side, so a channel's memory follows
-// what it carries at once, not the total it has carried.  Positions start
-// at 0 and never wrap, so the writer's tail is also the channel's post
-// count.  Between coordinator barriers the usual quiesced-owner discipline
-// applies, so the coordinator may read the stats and release drained
-// entries while workers are parked.
+// ShardMailbox is the cross-shard handoff channel: two plain batches per
+// (source, destination) shard pair, one per rung parity.  The writer (the
+// source shard) appends rung r's crossings to batch r & 1; the reader (the
+// destination shard) takes that batch at rung r's end.  The channel has no
+// atomics of its own: the rung ladder's progress publication already orders
+// every handoff, for both executors and across passes (DESIGN.md §12.2).
+//   1. The writer's posts of rung r happen before its progress publish
+//      (>= r), which the reader acquires before it drains rung r.
+//   2. The reader's drain of rung r happens before its own publish
+//      (>= r + 1), which the writer acquires before its first post of rung
+//      r + 2, the next one that touches the same batch.
+// The reader gets each entry by reference and the writer releases it when it
+// reuses the batch, so a crossing's original packet dies on its own thread.
 //
 // ShardClockSlot is the per-shard published progress that lets shards
 // self-synchronize at rung ends *inside* an epoch without a condvar barrier:
-// a shard flushes its mailboxes, release-publishes the number of rungs it
-// has completed, then spin-waits (with yields) until every peer reaches the
-// same rung.  Acquiring a peer's progress therefore also acquires
-// everything the peer flushed before publishing it — the message-passing
-// pattern the rung ladder relies on (DESIGN.md §12).
+// a shard release-publishes the number of rungs it has completed, then
+// spin-waits (with yields) until every peer reaches the same rung.
+// Acquiring a peer's progress therefore also acquires every crossing the
+// peer posted before publishing it — the message-passing pattern the
+// mailboxes rest on.
 //
 // EpochBarrier parks the worker threads between epochs (passes of up to
 // Simulator::kEpochRungs = 16 rungs): the coordinator publishes a pass
 // generation, workers walk their shard's ladder and report back, and the
-// coordinator proceeds only when every worker is done.  All three are benchmarked in
-// bench/micro_datastructures.cpp (BM_ShardMailbox, BM_MailboxBatch,
-// BM_EpochBarrier).
+// coordinator proceeds only when every worker is done.  All three are
+// benchmarked in bench/micro_datastructures.cpp (BM_ShardMailbox,
+// BM_MailboxBatch, BM_EpochBarrier).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -47,93 +43,72 @@
 
 namespace ufab::sim {
 
-/// Single-producer / single-consumer chunked channel with batch publication.
+/// Single-producer / single-consumer channel of per-rung batches.
 ///
-/// Roles (enforced by the engine's pass structure, not by the type):
-///   * writer — post() any number of entries, then flush() once per batch;
-///   * reader — drain() everything published so far;
+/// Roles (enforced by the engine's rung ladder, not by the type):
+///   * writer — post(rung, v) while it runs rung `rung`;
+///   * reader — drain(rung, fn) once, at the end of rung `rung`;
 ///   * coordinator (both sides quiesced at a barrier) — may read the stats
-///     and release_drained().
+///     and clear().
 ///
-/// An entry lives in its slot from post() until it is released: reset to
-/// T{} by the writer's first post() after the reader's head passed it, by
-/// release_drained(), or by ~ShardMailbox.  A drained entry therefore
-/// outlives its drain, and an undrained one is never touched before the
-/// destructor.
-///
-/// Entry positions are 64-bit and grow monotonically (they never wrap);
-/// position p lives in slot (p / kChunkItems) % kMaxChunks of the chunk
-/// table, so the table is a ring and positions need no rewind.  Chunks are
-/// recycled: when the writer needs a chunk for an empty slot, it first moves
-/// every chunk wholly below the reader's head out of the table onto a spare
-/// list only it touches, then takes the last spare before allocating.  So a
-/// channel holds about as many chunks as it ever had in flight at once, and
-/// steady-state epochs allocate nothing.
+/// An entry lives from post() until the writer's first post of a later rung
+/// of the same parity, clear() once drained, or ~ShardMailbox.  In a Debug
+/// build that post fails loudly if the reader never drained the batch.
 template <typename T>
 class ShardMailbox {
  public:
-  static constexpr std::size_t kChunkItems = 64;   ///< One batch cache block.
-  static constexpr std::size_t kMaxChunks = 256;   ///< 16384 in-flight entries.
-
-  ShardMailbox() : chunks_(kMaxChunks, nullptr) {}
+  ShardMailbox() = default;
   ShardMailbox(const ShardMailbox&) = delete;
   ShardMailbox& operator=(const ShardMailbox&) = delete;
-  ~ShardMailbox() {
-    for (Chunk* c : chunks_) delete c;
-    for (Chunk* c : spare_) delete c;
-  }
 
   // --- writer side ---
 
-  /// Appends `v`, first releasing every entry the reader has drained.
-  void post(T v) {
-    const std::uint64_t pos = tail_;
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    UFAB_CHECK_MSG(pos - head < kChunkItems * kMaxChunks,
-                   "shard mailbox overflow: one pass posted too many crossings");
-    release_below(head);
-    Chunk*& slot = chunks_[(pos / kChunkItems) % kMaxChunks];
-    if (slot == nullptr) slot = take_chunk(head);
-    slot->items[pos % kChunkItems] = std::move(v);
-    tail_ = pos + 1;
+  /// Appends `v` to rung `rung`'s batch.  The rung's first post releases the
+  /// entries its batch still holds from an earlier rung of the same parity.
+  void post(std::int64_t rung, T v) {
+    Batch& b = batch_[rung & 1];
+    if (b.rung != rung) {
+#ifndef NDEBUG
+      UFAB_CHECK_MSG(b.items.empty() || b.drained == b.rung,
+                     "shard mailbox: a post reuses a batch its reader never drained");
+#endif
+      b.items.clear();
+      b.rung = rung;
+      ++batches_;
+    }
+    b.items.push_back(std::move(v));
+    ++posted_;
   }
 
-  /// Publishes every entry posted since the last flush with a single
-  /// release-store.  No-op (and not counted) when nothing new was posted.
-  void flush() {
-    if (published_.load(std::memory_order_relaxed) == tail_) return;
-    published_.store(tail_, std::memory_order_release);
-    ++flushes_;
+  /// Releases every drained entry; an undrained one stays, visible to size().
+  /// Only with both sides quiesced (the coordinator when a sharded run ends).
+  void clear() {
+    for (Batch& b : batch_) {
+      if (b.drained == b.rung) b.items.clear();
+    }
   }
-
-  /// Releases every drained entry the writer has not yet released.  Only
-  /// with both sides quiesced (the coordinator between runs).
-  void release_drained() { release_below(head_.load(std::memory_order_relaxed)); }
 
   // --- reader side ---
 
-  /// Hands every published entry to `fn(T&)` in post order, leaving it in
-  /// its slot for the writer to release.  Returns the batch size (0 when
-  /// nothing was published).
+  /// Hands rung `rung`'s batch to `fn(T&)` in post order, leaving each entry
+  /// for the writer to release.  Returns the batch size (0 when nothing was
+  /// posted in the rung).
   template <typename Fn>
-  std::size_t drain(Fn&& fn) {
-    const std::uint64_t avail = published_.load(std::memory_order_acquire);
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (avail == head) return 0;
-    const auto batch = static_cast<std::size_t>(avail - head);
-    for (std::uint64_t pos = head; pos < avail; ++pos) fn(item(pos));
-    head_.store(avail, std::memory_order_release);
+  std::size_t drain(std::int64_t rung, Fn&& fn) {
+    Batch& b = batch_[rung & 1];
+    if (b.rung != rung) return 0;
+    b.drained = rung;
+    for (T& v : b.items) fn(v);
     ++drains_;
-    if (batch > max_batch_) max_batch_ = batch;
-    return batch;
+    max_batch_ = std::max(max_batch_, b.items.size());
+    return b.items.size();
   }
 
   // --- stats (read quiesced) ---
-  /// Entries posted so far: the monotone tail.  The writer may also read it
-  /// mid-pass.
-  [[nodiscard]] std::uint64_t posted_total() const { return tail_; }
-  /// Batches published (one release-store each).
-  [[nodiscard]] std::uint64_t flushes() const { return flushes_; }
+  /// Entries posted so far.  The writer may also read it mid-pass.
+  [[nodiscard]] std::uint64_t posted_total() const { return posted_; }
+  /// Non-empty rung batches posted (each one drain's worth of entries).
+  [[nodiscard]] std::uint64_t batches() const { return batches_; }
   /// Non-empty drains (== injection batches the reader absorbed).
   [[nodiscard]] std::uint64_t drains() const { return drains_; }
   /// High-water mark of entries handed over in one drain — the per-boundary
@@ -141,78 +116,35 @@ class ShardMailbox {
   [[nodiscard]] std::size_t max_drain_batch() const { return max_batch_; }
   /// Entries posted but not yet drained (quiesced read; pending() uses it).
   [[nodiscard]] std::size_t size() const {
-    return static_cast<std::size_t>(tail_ - head_.load(std::memory_order_relaxed));
-  }
-  /// Chunks allocated, in the slot table or spare (quiesced read).
-  [[nodiscard]] std::size_t chunks_held() const {
-    std::size_t n = spare_.size();
-    for (const Chunk* c : chunks_) n += c != nullptr ? 1 : 0;
+    std::size_t n = 0;
+    for (const Batch& b : batch_) n += b.drained == b.rung ? 0 : b.items.size();
     return n;
   }
 
  private:
-  struct Chunk {
-    T items[kChunkItems];
+  /// One rung's entries, the rung that filled them and the last rung drained.
+  struct Batch {
+    std::vector<T> items;
+    std::int64_t rung = -1;
+    std::int64_t drained = -1;
   };
 
-  [[nodiscard]] T& item(std::uint64_t pos) {
-    return chunks_[(pos / kChunkItems) % kMaxChunks]->items[pos % kChunkItems];
-  }
-
-  /// Resets every entry below `head` (a reader head the caller acquired, or
-  /// read quiesced) that is still unreleased.  The reader's release-store of
-  /// its head ordered its last use of them before this.
-  void release_below(std::uint64_t head) {
-    for (; released_ < head; ++released_) item(released_) = T{};
-  }
-
-  /// A chunk for the writer's next, empty slot.  Chunks wholly below `head`
-  /// (the acquired reader head) go to the spares first: the reader is done
-  /// with them and post() has released their entries, and none of their
-  /// slots has been re-entered, because the writer laps onto a slot still
-  /// holding a chunk only when all 256 are full, and then never needs a
-  /// chunk again.
-  Chunk* take_chunk(std::uint64_t head) {
-    for (; reclaimed_ < head / kChunkItems; ++reclaimed_) {
-      Chunk*& slot = chunks_[reclaimed_ % kMaxChunks];
-      spare_.push_back(slot);
-      slot = nullptr;
-    }
-    if (spare_.empty()) return new Chunk();
-    Chunk* c = spare_.back();
-    spare_.pop_back();
-    return c;
-  }
-
-  std::vector<Chunk*> chunks_;  ///< Fixed slot table; null where no chunk is live.
+  Batch batch_[2];  ///< Indexed by rung & 1.
 
   // Writer-owned.
-  std::uint64_t tail_ = 0;    ///< Next position to post; also the post count.
-  std::uint64_t flushes_ = 0;
-  std::uint64_t released_ = 0;   ///< Entries below this are reset.
-  std::uint64_t reclaimed_ = 0;  ///< Chunks (pos / kChunkItems) below this are spare.
-  std::vector<Chunk*> spare_;    ///< Drained chunks, ready for reuse.
+  std::uint64_t posted_ = 0;
+  std::uint64_t batches_ = 0;
 
-  /// The batch publication point: item writes (and chunk-pointer stores)
-  /// happen-before this release-store; the reader's acquire-load pairs with
-  /// it.  The only cross-thread traffic the channel generates per batch.
-  std::atomic<std::uint64_t> published_{0};
-
-  // Reader-owned.  head_ is the one reader field the writer reads (post's
-  // overflow check, entry release and chunk reclaim), so it is atomic:
-  // drain's release-store pairs with that acquire-load, ordering the
-  // reader's last use of a slot before the writer releases, reuses or
-  // reclaims it.
-  std::atomic<std::uint64_t> head_{0};  ///< Next position to drain.
+  // Reader-owned.
   std::uint64_t drains_ = 0;
   std::size_t max_batch_ = 0;
 };
 
 /// One shard's published progress through the rung ladder (rungs completed,
 /// monotone over the run), cache-line isolated so the spin loops never
-/// false-share.  Publishing with release after flushing mailboxes makes every
-/// pre-publish flush visible to any thread that acquires a value at or past
-/// the rung.
+/// false-share.  Publishing with release makes every mailbox post and drain
+/// before it visible to any thread that acquires a value at or past the
+/// rung.
 struct alignas(64) ShardClockSlot {
   std::atomic<std::int64_t> ns{0};
 

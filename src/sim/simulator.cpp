@@ -6,32 +6,33 @@
 // the earliest pending event (never before the common clock) and walks up to
 // kEpochRungs (16) rungs of the lookahead L: rung i runs every event
 // at or before min(base + i*L - 1, t), parks the clock at base + i*L (at t
-// for the rung that reaches the horizon, nowhere for a drain's), flushes
-// the outgoing mailboxes (one release-store per non-empty channel),
-// publishes its progress, waits until every peer published the same rung,
-// and drains its incoming mailboxes.  A pass ends at its last rung or at
-// the one that reaches t; L = ∞ (no cut link) reaches t in one rung.
+// for the rung that reaches the horizon, nowhere for a drain's), publishes
+// its progress, waits until every peer published the same rung, and drains
+// the rung's batch from each incoming mailbox.  A pass ends at its last
+// rung or at the one that reaches t; L = ∞ (no cut link) reaches t in one
+// rung.  Rungs are numbered across passes (rungs_done_ + i), and that
+// number picks each mailbox batch by its parity.
 //
 // Safety is one argument at every rung (DESIGN.md §9): a crossing posted at
 // wire-exit time tau lands at tau + prop >= tau + L.  Rung i runs events at
 // or after base + (i-1)*L, so everything it posts lands at or past
 // base + i*L: after the rung's last instant, and after t for the rung that
-// reaches it.  Because a peer flushes *before* publishing, acquiring its
+// reaches it.  Because a peer posts *before* publishing, acquiring its
 // progress also acquires every crossing it posted, so a shard never runs
 // past a remote event, and once the horizon rung drains nothing at or
 // before t is left anywhere — every clock is equal between passes.
 //
 // Sequential execution walks the same ladder interleaved (every shard runs
-// a rung and flushes, then every shard drains); threaded execution walks it
-// on every shard at once.  The canonical (h, k) keys fix the pop order for
-// any safe ladder, so both executors fire the serial engine's schedule.
+// a rung, then every shard drains); threaded execution walks it on every
+// shard at once.  The canonical (h, k) keys fix the pop order for any safe
+// ladder, so both executors fire the serial engine's schedule.
 //
 // One pool per packet: absorb pushes each drained crossing into the
 // calendar like any other event, in drain order, carrying a copy of its
 // packet from the destination shard's pool.  The original stays in its
-// mailbox slot until the writer's next post() releases it into its own pool
-// on its own thread; when a run returns, the coordinator releases what the
-// writers have not.
+// mailbox batch until the writer's first post of the next same-parity rung
+// releases it into its own pool on its own thread; when a run returns, the
+// coordinator clears every mailbox.
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
@@ -174,8 +175,8 @@ void Simulator::worker_main(int shard_index) {
 /// every worker — the coordinator's stall is the tail it spends waiting for
 /// the slowest one, the direct read on "does sharding pay".  Sequential: the
 /// coordinator walks the identical ladder in index order — for each rung,
-/// every shard runs and flushes, then every shard drains — the same
-/// flush-before-drain dataflow, hence the same schedule.
+/// every shard runs, then every shard drains — the same post-before-drain
+/// dataflow, hence the same schedule.
 void Simulator::run_pass() {
   if (exec_threads_) {
     barrier_->release(++pass_gen_);
@@ -196,23 +197,21 @@ void Simulator::run_pass() {
 }
 
 /// One shard's side of a threaded pass (worker thread, or the coordinator
-/// for shard 0).  The ladder is common to all shards, so publishing a rung
-/// after flushing makes "every peer published rung r" imply "every crossing
-/// a peer posted before it is visible" — the message-passing pattern the
-/// mailboxes' single release-store is designed around.  Progress is a rung
-/// count, not a clock: the rung that reaches t can park at the same instant
-/// as the one before it.
+/// for shard 0).  The ladder is common to all shards, so "every peer
+/// published rung r" implies "every crossing a peer posted in rung r, and
+/// every drain it made before, is visible" — all the mailboxes rely on
+/// (shard_sync.hpp).  Progress is a rung count, not a clock: the rung that
+/// reaches t can park at the same instant as the one before it.
 void Simulator::walk_ladder(Shard& s) {
   const int n = shard_count();
   obs::ProfSlice* const sl = prof_slice(s.index);
   for (int i = 1; i <= pass_rungs_; ++i) {
     run_rung(s, i);
-    const std::int64_t rung = rungs_done_ + i;
-    clocks_[static_cast<std::size_t>(s.index)]->publish(rung);
+    clocks_[static_cast<std::size_t>(s.index)]->publish(s.rung);
     {
       const obs::ProfScope wait(sl, obs::ProfCat::kBarrierWait);
       for (int p = 0; p < n; ++p) {
-        if (p != s.index) (void)clocks_[static_cast<std::size_t>(p)]->await(rung);
+        if (p != s.index) (void)clocks_[static_cast<std::size_t>(p)]->await(s.rung);
       }
     }
     const obs::ProfScope inject(sl, obs::ProfCat::kMailboxInject);
@@ -230,15 +229,15 @@ TimeNs Simulator::rung_last(int i) const {
   return pass_base_ + TimeNs{i * lookahead_.ns() - 1};
 }
 
-/// Rung `i` on `s`: runs every event at or before the rung's last instant,
-/// parks the clock just past it (at the horizon for the rung that reaches
-/// it, nowhere for a drain's) and publishes the outgoing mailboxes.
+/// Rung `i` on `s`, numbered rungs_done_ + i: runs every event at or before
+/// its last instant and parks the clock just past it (at the horizon for the
+/// rung that reaches it, nowhere for a drain's).
 void Simulator::run_rung(Shard& s, int i) {
+  s.rung = rungs_done_ + i;
   const TimeNs last = rung_last(i);
   shard_pass(s, last);
   const TimeNs park = last == pass_horizon_ ? last : last + TimeNs{1};
   if (park != TimeNs::max()) s.now = park;
-  flush_outgoing(s.index);
 }
 
 /// The one run loop: pops and runs `s`'s events at or before `last`.  A
@@ -263,19 +262,12 @@ void Simulator::run_rung(Shard& s, int i) {
   obs::tls_prof_slice = prev_tls;
 }
 
-void Simulator::flush_outgoing(int src) {
-  const int n = shard_count();
-  for (int dst = 0; dst < n; ++dst) {
-    if (dst != src) cross_ch(src, dst).flush();
-  }
-}
-
-/// Absorbs what `src` published to `dst`: each crossing is pushed into
-/// `dst`'s calendar with a copy of its packet from `dst`'s pool.  The
-/// original stays in the mailbox for `src` to release.
+/// Absorbs what `src` posted to `dst` in `dst`'s current rung: each
+/// crossing is pushed into `dst`'s calendar with a copy of its packet from
+/// `dst`'s pool.  The original stays in the mailbox for `src` to release.
 void Simulator::absorb(int src, int dst) {
   Shard& d = *shards_[static_cast<std::size_t>(dst)];
-  cross_ch(src, dst).drain([&d](const Crossing& c) {
+  cross_ch(src, dst).drain(d.rung, [&d](const Crossing& c) {
     UFAB_CHECK_MSG(c.at >= d.now, "cross-shard crossing violates the lookahead bound");
     push(d, c.at, c.h, c.k, DeliverEvent{c.dst, d.pool.copy_of(*c.pkt)});
   });
@@ -366,8 +358,8 @@ void Simulator::park_at_last_event(TimeNs floor) {
 /// The epoch loop: one pass per coordinator barrier until nothing is
 /// pending at or before `t` (`t == TimeNs::max()` drains).  Every pass
 /// starts with all clocks equal and every mailbox drained.  With every
-/// shard quiesced at the end, the coordinator releases the drained
-/// crossings the writers have not, so every pool balances between runs.
+/// shard quiesced at the end, the coordinator clears every mailbox, so every
+/// pool balances between runs.
 void Simulator::run_until_sharded(TimeNs t) {
   ensure_exec_started();
   const ShardScope scope = scoped(0);
@@ -397,7 +389,7 @@ void Simulator::run_until_sharded(TimeNs t) {
     for (auto& s : shards_) s->now = std::max(s->now, t);
   }
   for (const auto& ch : cross_ch_) {
-    if (ch != nullptr) ch->release_drained();
+    if (ch != nullptr) ch->clear();
   }
 }
 

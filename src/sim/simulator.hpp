@@ -41,18 +41,18 @@
 // last of which ends at the run's horizon.  Because a crossing arrives a
 // full propagation delay after the event that posts it, no crossing can land
 // inside the rung that produced it, so a shard never misses a remote event.
-// Cross-shard packets are posted into per-(src,dst) SPSC mailboxes (batched
-// publication, see shard_sync.hpp), and only copies cross: the destination
-// shard delivers a copy from its own pool, and the original goes back to the
-// source shard's pool on the source's thread.  A packet lives and dies on
-// the shard whose pool made it.  An *epoch* (one coordinator barrier) spans
-// up to kEpochRungs (16) rungs: inside a pass each shard self-synchronizes at
-// rung ends through published per-shard progress (flush mailboxes, publish,
-// spin until peers reach the rung, drain incoming — DESIGN.md §12), which
-// amortizes the ~µs condvar barrier over 16 rungs of ~100 ns spins.  A
-// drained crossing enters the calendar through the same push as every other
-// event.  The calendar stays inline here; the one run loop and the ladder
-// live in simulator.cpp.
+// Cross-shard packets are posted into per-(src,dst) mailboxes of two
+// batches picked by rung parity (see shard_sync.hpp), and only copies cross:
+// the destination shard delivers a copy from its own pool, and the original
+// goes back to the source shard's pool on the source's thread.  An *epoch*
+// (one coordinator barrier) spans up to kEpochRungs (16) rungs: inside a
+// pass each shard self-synchronizes at rung ends through published
+// per-shard progress (publish, spin until peers reach the rung, drain the
+// rung's incoming batches — DESIGN.md §12), which amortizes the ~µs condvar
+// barrier over 16 rungs of ~100 ns spins and orders every mailbox handoff.
+// A drained crossing enters the calendar through the same push as every
+// other event.  The calendar stays inline here; the one run loop and the
+// ladder live in simulator.cpp.
 #pragma once
 
 #include <algorithm>
@@ -213,9 +213,9 @@ class Simulator {
   /// delivery fires at absolute time `at` with the same ordering key the
   /// event would have had as a local after() call, so the merged schedule is
   /// independent of the partition.  The destination delivers a copy from its
-  /// own pool; `pkt` stays in the mailbox until this shard releases it on a
-  /// later post (or the run returns).  Only valid from inside a running
-  /// event.
+  /// own pool; `pkt` stays in the mailbox until this shard releases it two
+  /// rungs later or more (or the run returns).  Only valid from inside a
+  /// running event.
   void post_cross(int dst_shard, TimeNs at, Node* dst, PacketPtr pkt) {
     const ChildKey key = alloc_child_key();
     post_cross_keyed(dst_shard, at, dst, std::move(pkt), key.h, key.k);
@@ -252,15 +252,15 @@ class Simulator {
   /// event.  Safe for the conservative sync: `at` exceeds the posting time by
   /// at least prop >= lookahead, so the crossing still lands past the rung
   /// that posted it.  Must be called from inside a running event: a
-  /// root-context post would sit unflushed where earliest_pending() cannot
-  /// see it.
+  /// root-context post belongs to no rung, so no drain would take it and
+  /// earliest_pending() could not see it.
   void post_cross_keyed(int dst_shard, TimeNs at, Node* dst, PacketPtr pkt,
                         std::uint64_t h, std::uint32_t k) {
     UFAB_PROF_SCOPE(obs::ProfCat::kMailboxPost);
     Shard& s = active();
     UFAB_CHECK_MSG(s.in_event, "crossing posted outside an event");
     UFAB_CHECK(dst_shard >= 0 && dst_shard < shard_count() && dst_shard != s.index);
-    cross_ch(s.index, dst_shard).post(Crossing{at, h, k, dst, std::move(pkt)});
+    cross_ch(s.index, dst_shard).post(s.rung, Crossing{at, h, k, dst, std::move(pkt)});
   }
 
   /// Opaque handle to the shard the calling context schedules onto.  A link
@@ -318,11 +318,11 @@ class Simulator {
     }
     return m;
   }
-  /// Batch publications (one release-store each) over every cross mailbox.
+  /// Non-empty rung batches, one per (channel, rung) that carried a crossing.
   [[nodiscard]] std::uint64_t mailbox_flushes_total() const {
     std::uint64_t total = 0;
     for (const auto& ch : cross_ch_) {
-      if (ch != nullptr) total += ch->flushes();
+      if (ch != nullptr) total += ch->batches();
     }
     return total;
   }
@@ -451,6 +451,9 @@ class Simulator {
     /// Time of the last event this shard ran (clocks park past it at rung
     /// ends; a drain parks every clock at the latest one).
     TimeNs last_event = TimeNs::zero();
+    /// The rung this shard runs or drains, numbered across passes: what it
+    /// publishes as progress, and what picks its mailbox batches.
+    std::int64_t rung = 0;
 
     // Scheduling context (the currently executing event).
     std::uint64_t cur_id = 0;
@@ -707,7 +710,6 @@ class Simulator {
   void walk_ladder(Shard& s);
   [[nodiscard]] TimeNs rung_last(int i) const;
   void run_rung(Shard& s, int i);
-  void flush_outgoing(int src);
   void absorb(int src, int dst);
   void drain_incoming(Shard& s);
   [[nodiscard]] TimeNs earliest_pending();

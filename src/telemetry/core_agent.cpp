@@ -40,8 +40,8 @@ void CoreAgent::on_probe_egress(sim::Packet& pkt, sim::Link& link, TimeNs now) {
   handle_probe(pkt, now);
   // Write the INT record after updating the registers (workflow step 3: the
   // probe carries the *updated* aggregate downstream).  The record is
-  // composed directly in the probe's inline INT stack — no stack temporary
-  // copied in, no wire-struct round trip when quantizing (DESIGN.md §13).
+  // composed directly in the probe's inline INT stack, with no stack
+  // temporary copied in (DESIGN.md §13).
   sim::IntRecord& rec = pkt.telemetry.emplace_back();
   rec.link = link.id();
   rec.phi_total = phi_total_;
@@ -51,7 +51,7 @@ void CoreAgent::on_probe_egress(sim::Packet& pkt, sim::Link& link, TimeNs now) {
   rec.tx_rate_hint = link.tx_rate();
   rec.queue_bytes = link.queue_bytes();
   rec.capacity = link.capacity();
-  if (cfg_.quantize_int) IntCodec::quantize_inline(rec, speed_class_cached(rec.capacity));
+  if (cfg_.quantize_int) IntCodec::quantize(rec);
   if (tamper_ && !tamper_(rec, now)) {
     ++suppressed_records_;
     pkt.telemetry.pop_back();
@@ -70,15 +70,6 @@ void CoreAgent::on_probe_egress(sim::Packet& pkt, sim::Link& link, TimeNs now) {
     ev.b = static_cast<double>(rec.queue_bytes);
     obs_->record(ev);
   }
-}
-
-int CoreAgent::speed_class_cached(Bandwidth capacity) {
-  const double bps = capacity.bits_per_sec();
-  if (bps != cached_cap_bps_) {
-    cached_cap_bps_ = bps;
-    cached_cls_ = IntCodec::speed_class(capacity);
-  }
-  return cached_cls_;
 }
 
 void CoreAgent::reset_state() {

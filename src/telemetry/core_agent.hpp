@@ -85,10 +85,6 @@ class CoreAgent final : public sim::EgressProcessor {
     TimeNs last_seen;
   };
 
-  /// speed_class() memoized on the raw capacity: each agent serves one
-  /// fixed-speed egress, so after the first record this is a single compare.
-  [[nodiscard]] int speed_class_cached(Bandwidth capacity);
-
   void handle_probe(sim::Packet& pkt, TimeNs now);
   void handle_finish(sim::Packet& pkt, TimeNs now);
   void sweep(TimeNs now);
@@ -106,8 +102,6 @@ class CoreAgent final : public sim::EgressProcessor {
   std::int64_t fp_omissions_ = 0;
   std::int64_t resets_ = 0;
   std::int64_t suppressed_records_ = 0;
-  double cached_cap_bps_ = -1.0;  ///< speed_class_cached key (-1 = empty).
-  int cached_cls_ = 0;
   obs::Obs* obs_ = nullptr;
   obs::Track track_;
 };

@@ -68,25 +68,4 @@ void IntCodec::quantize(sim::IntRecord& rec) {
   rec = decode(encode(rec), rec.link, rec.stamp);
 }
 
-void IntCodec::quantize_inline(sim::IntRecord& rec, int cls) {
-  // Mirrors encode() then decode() field by field; every intermediate is the
-  // same u16 code point, so the results are bit-identical to quantize().
-  const std::uint16_t window = clamp_u16(std::round(rec.window_total * 8.0 / kRateUnitBps));
-  const std::uint16_t phi = clamp_u16(std::round(rec.phi_total / kRateUnitBps));
-  const double cap = rec.capacity.bits_per_sec();
-  const double frac = cap > 0.0 ? rec.tx_rate_hint.bits_per_sec() / cap : 0.0;
-  const std::uint16_t tx_frac = clamp_u16(std::round(std::clamp(frac, 0.0, 1.0) * 65535.0));
-  const auto q_units = std::min<std::int64_t>(
-      4095, static_cast<std::int64_t>(
-                std::ceil(static_cast<double>(rec.queue_bytes) / kQueueUnitBytes)));
-  rec.window_total = static_cast<double>(window) * kRateUnitBps / 8.0;  // bytes/s
-  rec.phi_total = static_cast<double>(phi) * kRateUnitBps;
-  rec.capacity = class_speed(cls & 0xf);
-  rec.tx_rate_hint = Bandwidth::bps(rec.capacity.bits_per_sec() *
-                                    static_cast<double>(tx_frac) / 65535.0);
-  rec.queue_bytes = q_units * static_cast<std::int64_t>(1024);
-  // Not representable on the wire: the edge must use tx_rate_hint.
-  rec.tx_bytes_cum = 0;
-}
-
 }  // namespace ufab::telemetry

@@ -43,15 +43,6 @@ class IntCodec {
   /// Applies an encode/decode round trip in place (what a probe would carry).
   static void quantize(sim::IntRecord& rec);
 
-  /// Hot-path equivalent of quantize(): produces bit-identical doubles
-  /// without materializing the intermediate EncodedIntRecord (the same u16
-  /// code points are computed as locals and expanded back in place).  `cls`
-  /// must be speed_class(rec.capacity); callers that stamp one fixed-speed
-  /// egress cache it instead of re-running the 8-way class search per record.
-  /// The struct codec above stays the wire format for the fault plane
-  /// (corruption/staleness operate on real encoded records).
-  static void quantize_inline(sim::IntRecord& rec, int cls);
-
   /// Nearest representable speed class for a physical capacity.
   static int speed_class(Bandwidth capacity);
   static Bandwidth class_speed(int cls);

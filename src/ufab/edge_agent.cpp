@@ -210,8 +210,6 @@ void EdgeAgent::send_probe(UfabConnection& c) {
   // base RTTs would otherwise convert the same window share into a larger
   // rate share (cf. Eqn 2, where the aggregate is a rate).
   pkt->probe.window = c.window / c.base_rtt.sec();
-  pkt->probe.phi_prev = c.reg_phi;
-  pkt->probe.window_prev = c.reg_window;
   pkt->probe.reg_key = c.reg_key;
   pkt->probe.seq = ++c.probe_seq;
   pkt->route = c.current_path().route;

@@ -37,7 +37,9 @@ TEST(FlightRecorder, RingWraparoundKeepsNewestInOrder) {
   // wraparound is deterministic, not approximate.
   for (std::size_t i = 0; i < evs.size(); ++i) {
     EXPECT_EQ(evs[i].seq, 12u + i);
-    if (i > 0) EXPECT_GE(evs[i].at, evs[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(evs[i].at, evs[i - 1].at);
+    }
   }
 }
 

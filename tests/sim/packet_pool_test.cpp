@@ -106,7 +106,8 @@ TEST(PacketPool, GrowsInChunksAndReusesFreelist) {
 
   // Steady state: no new chunks however many make/destroy cycles run.
   for (int i = 0; i < 1000; ++i) {
-    make_packet(pool, PacketKind::kData, VmPairId{}, TenantId{}, HostId{0}, HostId{1}, 64);
+    const PacketPtr pkt =
+        make_packet(pool, PacketKind::kData, VmPairId{}, TenantId{}, HostId{0}, HostId{1}, 64);
   }
   EXPECT_EQ(pool.allocated(), 512u);
   EXPECT_EQ(pool.recycled_total(), 1000u + 300u);  // every destruction recycled

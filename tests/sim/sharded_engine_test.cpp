@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -653,62 +654,6 @@ TEST(ShardedEngineDeathTest, EventScopedOntoAnotherShardDies) {
       "an event scoped onto another shard");
 }
 
-TEST(ShardMailboxUnit, PostFlushDrainKeepsOrderAndCounts) {
-  ShardMailbox<int> box;
-  for (int i = 0; i < 5; ++i) box.post(int{i});
-  EXPECT_EQ(box.posted_total(), 5u);
-  std::vector<int> got;
-  const auto take = [&got](int v) { got.push_back(v); };
-  // Nothing published yet: a drain sees an empty mailbox.
-  box.drain(take);
-  EXPECT_TRUE(got.empty());
-  box.flush();
-  EXPECT_EQ(box.flushes(), 1u);
-  box.drain(take);
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(box.max_drain_batch(), 5u);
-  EXPECT_EQ(box.size(), 0u);
-  // A second flush with nothing new published is a no-op (no release store).
-  box.flush();
-  EXPECT_EQ(box.flushes(), 1u);
-  got.clear();
-  box.post(7);
-  box.flush();
-  box.drain(take);
-  EXPECT_EQ(got, std::vector<int>{7});
-  EXPECT_EQ(box.posted_total(), 6u);
-  EXPECT_EQ(box.max_drain_batch(), 5u);
-}
-
-TEST(ShardMailboxUnit, BatchesSpanChunksAndRewind) {
-  using Box = ShardMailbox<int>;
-  Box box;
-  // More than one 64-item chunk in a single batch, across enough cycles that
-  // the positions go round the chunk ring (16384 entries) twice.  Drained
-  // chunks are recycled, so the mailbox holds what one batch spans (plus the
-  // chunk the reader stopped in and the one the writer starts), not a chunk
-  // for every slot the positions have passed.
-  std::uint64_t total = 0;
-  std::vector<int> got;
-  for (int round = 0; round < 200; ++round) {
-    const int n = 100 + round;  // straddles chunk boundaries at every offset
-    for (int i = 0; i < n; ++i) box.post(round * 1000 + i);
-    box.flush();
-    got.clear();
-    box.drain([&got](int v) { got.push_back(v); });
-    ASSERT_EQ(static_cast<int>(got.size()), n) << "round " << round;
-    ASSERT_EQ(got.front(), round * 1000);
-    ASSERT_EQ(got.back(), round * 1000 + n - 1);
-    total += static_cast<std::uint64_t>(n);
-    ASSERT_EQ(box.size(), 0u);
-    const std::size_t batch_chunks = (static_cast<std::size_t>(n) + Box::kChunkItems - 1) /
-                                     Box::kChunkItems;
-    ASSERT_LE(box.chunks_held(), batch_chunks + 2) << "round " << round;
-  }
-  EXPECT_EQ(box.posted_total(), total);
-  EXPECT_GE(box.max_drain_batch(), 100u);
-}
-
 /// A mailbox payload that owns entry `*p` the way a crossing owns its
 /// packet: destroying what it owns counts one release of that entry.
 struct CountRelease {
@@ -724,28 +669,70 @@ Owned owned(std::vector<int>& releases, int entry) {
   return Owned{new int{entry}, CountRelease{&releases}};
 }
 
+TEST(ShardMailboxUnit, PostDrainKeepsOrderAndCounts) {
+  // A drain takes only its own rung's batch, in post order.  The writer may
+  // already be posting the next rung into the other batch, which that drain
+  // leaves alone.
+  ShardMailbox<int> box;
+  for (int i = 0; i < 5; ++i) box.post(1, int{i});
+  box.post(2, 10);
+  box.post(2, 11);
+  EXPECT_EQ(box.posted_total(), 7u);
+  EXPECT_EQ(box.batches(), 2u);
+  EXPECT_EQ(box.size(), 7u);
+  std::vector<int> got;
+  const auto take = [&got](int v) { got.push_back(v); };
+  // Rung 3 shares rung 1's batch but posted nothing: its drain takes nothing.
+  EXPECT_EQ(box.drain(3, take), 0u);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(box.drain(1, take), 5u);
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(box.size(), 2u);
+  got.clear();
+  EXPECT_EQ(box.drain(2, take), 2u);
+  EXPECT_EQ(got, (std::vector<int>{10, 11}));
+  EXPECT_EQ(box.size(), 0u);
+  EXPECT_EQ(box.drains(), 2u);
+  EXPECT_EQ(box.max_drain_batch(), 5u);
+  // Rung 3 reuses rung 1's batch, and its drain sees only its own post.
+  got.clear();
+  box.post(3, 7);
+  EXPECT_EQ(box.drain(3, take), 1u);
+  EXPECT_EQ(got, std::vector<int>{7});
+  EXPECT_EQ(box.posted_total(), 8u);
+  EXPECT_EQ(box.batches(), 3u);
+  EXPECT_EQ(box.drains(), 3u);
+  EXPECT_EQ(box.max_drain_batch(), 5u);
+}
+
 TEST(ShardMailboxUnit, DrainedEntriesLiveUntilTheWriterReleasesThem) {
-  // A drain hands entries over by reference and leaves them in their slots.
-  // The writer's next post() releases every drained entry; between runs the
-  // coordinator's release_drained() releases the rest.
+  // A drain hands entries over by reference and leaves them in their batch.
+  // They live until the writer's first post of a later rung of the same
+  // parity, however many rungs later; between runs the coordinator's clear()
+  // releases the rest.
   std::vector<int> releases(8, 0);
   ShardMailbox<Owned> box;
-  for (int i = 0; i < 5; ++i) box.post(owned(releases, i));
-  box.flush();
+  for (int i = 0; i < 3; ++i) box.post(1, owned(releases, i));
   std::vector<int> seen;
   const auto read = [&seen](const Owned& v) { seen.push_back(*v); };
-  EXPECT_EQ(box.drain(read), 5u);
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(box.drain(1, read), 3u);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
+  box.post(2, owned(releases, 3));
+  EXPECT_EQ(box.drain(2, read), 1u);
+  EXPECT_EQ(box.drain(3, read), 0u);  // rung 3 posts nothing
   EXPECT_EQ(releases, (std::vector<int>{0, 0, 0, 0, 0, 0, 0, 0}));
-  box.post(owned(releases, 5));
-  EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 1, 0, 0, 0}));
-  box.flush();
-  EXPECT_EQ(box.drain(read), 1u);
-  EXPECT_EQ(releases[5], 0);
-  box.release_drained();
+  box.post(4, owned(releases, 4));  // reuses rung 2's batch
+  EXPECT_EQ(releases, (std::vector<int>{0, 0, 0, 1, 0, 0, 0, 0}));
+  box.post(5, owned(releases, 5));  // reuses rung 1's batch
+  EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 0, 0, 0, 0}));
+  EXPECT_EQ(box.drain(4, read), 1u);
+  EXPECT_EQ(box.drain(5, read), 1u);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 0, 0, 0, 0}));
+  box.clear();
   EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 1, 1, 0, 0}));
-  box.release_drained();  // nothing left to release
-  box.post(owned(releases, 6));
+  box.clear();  // nothing left to release
+  box.post(6, owned(releases, 6));
   EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 1, 1, 0, 0}));
 }
 
@@ -753,69 +740,74 @@ TEST(ShardMailboxUnit, UndrainedEntriesAreReleasedOnlyByTheDestructor) {
   std::vector<int> releases(8, 0);
   {
     ShardMailbox<Owned> box;
-    for (int i = 0; i < 3; ++i) box.post(owned(releases, i));
-    box.flush();
-    box.drain([](const Owned&) {});
-    // Published and unpublished entries the reader has not drained stay
-    // untouched by later posts and by release_drained().
-    for (int i = 3; i < 6; ++i) box.post(owned(releases, i));
-    box.flush();
-    box.post(owned(releases, 6));
-    box.release_drained();
-    box.post(owned(releases, 7));
-    EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
+    for (int i = 0; i < 3; ++i) box.post(1, owned(releases, i));
+    box.drain(1, [](const Owned&) {});
+    // Rung 2's entries are never drained.  Posts and drains of the other
+    // parity and clear() leave them where they are.
+    for (int i = 3; i < 6; ++i) box.post(2, owned(releases, i));
+    box.post(3, owned(releases, 6));
+    box.drain(3, [](const Owned&) {});
+    box.clear();
+    box.post(5, owned(releases, 7));
+    EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 0, 0, 0, 1, 0}));
+    EXPECT_EQ(box.size(), 4u);
   }
   EXPECT_EQ(releases, (std::vector<int>{1, 1, 1, 1, 1, 1, 1, 1}));
 }
 
-TEST(ShardMailboxUnit, RoundTripAtTheInFlightBound) {
-  using Box = ShardMailbox<Owned>;
-  constexpr int kBound = static_cast<int>(Box::kChunkItems * Box::kMaxChunks);
-  static_assert(kBound == 16'384, "the loud in-flight bound moved");
-  constexpr int kLead = 10;
-  constexpr int kRounds = 3;
-  std::vector<int> releases(kLead + kRounds * (kBound - 1), 0);
+TEST(ShardMailboxUnit, EveryEntryIsHandedOverOnceAndReleasedOnce) {
+  // 400 rungs of 0-127 entries, each rung posted and then drained as the
+  // ladder does: every entry reaches the reader once, in post order and
+  // before its release, and is released exactly once by the final clear().
+  constexpr int kRungs = 400;
+  std::mt19937 rng(29);
+  std::uniform_int_distribution<int> batch_size(0, 127);
+  std::vector<int> releases(kRungs * 128, 0);
+  std::vector<int> handed(releases.size(), 0);
+  ShardMailbox<Owned> box;
   int next = 0;
-  Box box;
-  std::vector<int> got;
-  const auto take = [&got](const Owned& v) { got.push_back(*v); };
-  // Start 10 entries into a chunk, so each batch of 16,383 laps the 256-slot
-  // ring onto the slot of the chunk the reader is still inside.
-  for (int i = 0; i < kLead; ++i) box.post(owned(releases, next++));
-  box.flush();
-  box.drain(take);
-  for (int round = 0; round < kRounds; ++round) {
+  std::uint64_t non_empty = 0;
+  for (std::int64_t rung = 1; rung <= kRungs; ++rung) {
     const int first = next;
-    for (int i = 0; i < kBound - 1; ++i) box.post(owned(releases, next++));
-    EXPECT_EQ(box.size(), static_cast<std::size_t>(kBound - 1));
-    // The round's first post released every entry drained before it, and
-    // nothing of this round's batch is released before its drain.
-    for (int e = 0; e < next; ++e) {
-      ASSERT_EQ(releases[static_cast<std::size_t>(e)], e < first ? 1 : 0) << "entry " << e;
-    }
-    box.flush();
-    got.clear();
-    box.drain(take);
-    ASSERT_EQ(static_cast<int>(got.size()), kBound - 1) << "round " << round;
-    for (int i = 0; i < kBound - 1; ++i) ASSERT_EQ(got[i], first + i) << "entry " << i;
-    EXPECT_LE(box.chunks_held(), Box::kMaxChunks);
+    const int n = batch_size(rng);
+    for (int i = 0; i < n; ++i) box.post(rung, owned(releases, next++));
+    non_empty += n > 0 ? 1 : 0;
+    int expect = first;
+    const std::size_t got = box.drain(rung, [&](const Owned& v) {
+      const auto e = static_cast<std::size_t>(*v);
+      EXPECT_EQ(*v, expect++);
+      EXPECT_EQ(releases[e], 0);
+      ++handed[e];
+    });
+    ASSERT_EQ(got, static_cast<std::size_t>(n)) << "rung " << rung;
+    ASSERT_EQ(expect, next) << "rung " << rung;
   }
-  box.release_drained();
-  for (std::size_t e = 0; e < releases.size(); ++e) {
-    ASSERT_EQ(releases[e], 1) << "entry " << e;
+  box.clear();
+  for (int e = 0; e < next; ++e) {
+    ASSERT_EQ(handed[static_cast<std::size_t>(e)], 1) << "entry " << e;
+    ASSERT_EQ(releases[static_cast<std::size_t>(e)], 1) << "entry " << e;
   }
+  EXPECT_EQ(box.posted_total(), static_cast<std::uint64_t>(next));
+  EXPECT_EQ(box.batches(), non_empty);
+  EXPECT_EQ(box.drains(), non_empty);
+  EXPECT_EQ(box.size(), 0u);
 }
 
-TEST(ShardMailboxDeathTest, PostPastTheInFlightBoundDies) {
-  // 16,384 entries posted and not drained fill the channel; one more fails
-  // loudly instead of overwriting an entry the reader has not taken.
+#ifndef NDEBUG
+TEST(ShardMailboxDeathTest, ReusingAnUndrainedBatchDies) {
+  // Rung 1's batch was never drained, so rung 3's first post, which would
+  // release it, fails loudly instead of dropping its crossings.
   EXPECT_DEATH(
       {
         ShardMailbox<int> box;
-        for (int i = 0; i <= 16'384; ++i) box.post(int{i});
+        box.post(1, 1);
+        box.post(2, 2);
+        box.drain(2, [](int) {});
+        box.post(3, 3);
       },
-      "shard mailbox overflow");
+      "a post reuses a batch its reader never drained");
 }
+#endif
 
 }  // namespace
 }  // namespace ufab::sim
