@@ -1,13 +1,16 @@
 // Microbenchmarks for the hot data-plane data structures (google-benchmark):
-// the switch Bloom filter, the WFQ scheduler, the event queue, and the
-// per-probe INT processing path.
+// the switch Bloom filter, the WFQ scheduler, the event queue, the
+// per-probe INT processing path, and the flight recorder's trace export.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <thread>
 
 #include "src/harness/experiment.hpp"
+#include "src/obs/flight_recorder.hpp"
 #include "src/sim/link.hpp"
 #include "src/sim/node.hpp"
 #include "src/sim/shard_sync.hpp"
@@ -466,5 +469,69 @@ void BM_ProfScopeDisabled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProfScopeDisabled);
+
+/// Chrome-trace export of a full 65,536-event recorder in testbed_rpc's mix:
+/// INT stamps and register writes on switch ports (~60%), probe chains and
+/// window updates on hosts, Bloom and register clears, finish probes.  The
+/// stream is reused, so the timed work is formatting and buffered writes.
+void BM_TraceExport(benchmark::State& state) {
+  obs::FlightRecorder rec(1 << 16);
+  std::mt19937_64 rng(state.range(0));
+  std::int64_t at_ns = 10'000'000;
+  for (std::size_t i = 0; i < rec.capacity(); ++i) {
+    obs::TraceEvent ev;
+    at_ns += static_cast<std::int64_t>(rng() % 400);
+    ev.at = TimeNs{at_ns};
+    ev.pair = VmPairId{VmId{static_cast<std::int32_t>(rng() % 64)},
+                       VmId{static_cast<std::int32_t>(rng() % 64)}};
+    ev.tenant = TenantId{static_cast<std::int32_t>(rng() % 2)};
+    ev.track = obs::Track::switch_port(NodeId{static_cast<std::int32_t>(8 + rng() % 4)},
+                                       static_cast<std::int32_t>(rng() % 8));
+    ev.a = static_cast<double>(rng() % 600'000'000'000) / 100.0;
+    ev.b = static_cast<double>(rng() % 600'000'000'000) / 100.0;
+    const std::uint64_t pick = rng() % 100;
+    if (pick < 30) {
+      ev.kind = obs::EventKind::kProbeIntStamp;
+      ev.link = LinkId{static_cast<std::int32_t>(rng() % 32)};
+      ev.seq = rng() % 200;
+      ev.b = static_cast<double>(rng() % 20'000);
+    } else if (pick < 60) {
+      ev.kind = obs::EventKind::kRegisterWrite;
+      ev.seq = rng();
+    } else if (pick < 67) {
+      ev.kind = obs::EventKind::kBloomRemove;
+      ev.seq = rng();
+    } else if (pick < 74) {
+      ev.kind = obs::EventKind::kRegisterClear;
+      ev.seq = rng();
+    } else if (pick < 80) {
+      ev.kind = obs::EventKind::kBloomInsert;
+      ev.seq = rng();
+    } else {
+      ev.track = obs::Track::host(HostId{static_cast<std::int32_t>(rng() % 8)});
+      ev.seq = rng() % 200;
+      ev.kind = pick < 86   ? obs::EventKind::kProbeSent
+                : pick < 92 ? obs::EventKind::kProbeEchoed
+                : pick < 98 ? obs::EventKind::kWindowUpdate
+                            : obs::EventKind::kFinishSent;
+      if (ev.kind == obs::EventKind::kWindowUpdate) {
+        ev.detail = static_cast<std::uint8_t>(rng() % 4);
+      }
+    }
+    rec.record(ev);
+  }
+  std::ostringstream os;
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    os.seekp(0);
+    rec.write_chrome_trace(os);
+    bytes += static_cast<std::int64_t>(os.tellp());
+    benchmark::DoNotOptimize(os.rdbuf());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(bytes);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rec.size()));
+}
+BENCHMARK(BM_TraceExport)->Arg(7)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -70,7 +70,7 @@ if [[ "${SMOKE}" == "1" ]]; then MIN_TIME=0.05; fi
 "${BUILD_DIR}/bench/micro_datastructures" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_out="${MICRO_JSON}" --benchmark_out_format=json \
-  --benchmark_filter='BM_(EventQueue|EventQueueBurst|EventQueueFarHorizon|EventQueueSparse|ShardMailbox|MailboxBatch|EpochBarrier|PacketMake|CoreAgentProbe|Fig17Slice|ProfScope|WfqNext|WfqNextSparse|Bloom|LinkPipelineHop|FlatFib|IntQuantize|TokenAssignment)'
+  --benchmark_filter='BM_(EventQueue|EventQueueBurst|EventQueueFarHorizon|EventQueueSparse|ShardMailbox|MailboxBatch|EpochBarrier|PacketMake|CoreAgentProbe|Fig17Slice|ProfScope|WfqNext|WfqNextSparse|Bloom|LinkPipelineHop|FlatFib|IntQuantize|TokenAssignment|TraceExport)'
 
 # Runs BM_ProfOverheadPair once (one round: 16 adjacent off/on pairs in one
 # process) and prints the round's mean run phase per side in milliseconds,

@@ -1,9 +1,12 @@
 #include "src/obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <concepts>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "src/core/assert.hpp"
 #include "src/core/shard_context.hpp"
@@ -139,33 +142,6 @@ std::int64_t tid_of(const Track& t) {
   return static_cast<std::int64_t>(t.id + 1) * 1024 + (t.sub + 1);
 }
 
-std::string default_track_name(const Track& t) {
-  char buf[64];
-  switch (t.kind) {
-    case TrackKind::kHost:
-      std::snprintf(buf, sizeof(buf), "host-%d", t.id);
-      break;
-    case TrackKind::kSwitch:
-      std::snprintf(buf, sizeof(buf), "switch-%d/port-%d", t.id, t.sub);
-      break;
-    case TrackKind::kTenant:
-      std::snprintf(buf, sizeof(buf), "tenant-%d", t.id);
-      break;
-    case TrackKind::kLink:
-      std::snprintf(buf, sizeof(buf), "link-%d", t.id);
-      break;
-    case TrackKind::kFabric:
-      std::snprintf(buf, sizeof(buf), "fabric");
-      break;
-  }
-  return buf;
-}
-
-std::string pair_str(VmPairId pair) {
-  if (!pair.valid()) return "";
-  return std::to_string(pair.src.value()) + "->" + std::to_string(pair.dst.value());
-}
-
 /// Stable flow id binding one probe's causal chain across tracks.
 std::uint64_t flow_id(const TraceEvent& ev) {
   std::uint64_t x = ev.pair.key() ^ (ev.seq * 0x9e3779b97f4a7c15ULL);
@@ -178,7 +154,8 @@ bool is_probe_chain(EventKind kind) {
          kind == EventKind::kProbeEchoed || kind == EventKind::kWindowUpdate;
 }
 
-std::string detail_str(const TraceEvent& ev) {
+/// The event's sub-code as text, or null when its kind has none.
+const char* detail_of(const TraceEvent& ev) {
   switch (ev.kind) {
     case EventKind::kWindowUpdate:
       return to_string(static_cast<WindowBound>(ev.detail));
@@ -187,22 +164,102 @@ std::string detail_str(const TraceEvent& ev) {
     case EventKind::kIntTamper:
       return ev.detail == 0 ? "stale" : ev.detail == 1 ? "corrupt" : "strip";
     default:
-      return "";
+      return nullptr;
   }
 }
 
-std::string event_args_json(const TraceEvent& ev) {
-  char buf[128];
-  std::string args;
-  if (ev.pair.valid()) args += "\"pair\": \"" + pair_str(ev.pair) + "\", ";
-  if (ev.tenant.valid()) args += "\"tenant\": " + std::to_string(ev.tenant.value()) + ", ";
-  if (ev.link.valid()) args += "\"link\": " + std::to_string(ev.link.value()) + ", ";
-  if (ev.seq != 0) args += "\"seq\": " + std::to_string(ev.seq) + ", ";
-  const std::string detail = detail_str(ev);
-  if (!detail.empty()) args += "\"detail\": \"" + detail + "\", ";
-  std::snprintf(buf, sizeof(buf), "\"a\": %.12g, \"b\": %.12g", ev.a, ev.b);
-  args += buf;
-  return args;
+/// Export sink: each field is formatted in place with std::to_chars into one
+/// fixed buffer, and the buffer goes to the stream in large writes.  The
+/// formats are printf's: dec() is %d/%lld/%llu, hex() 0x%llx, g12() %.12g and
+/// f3() %.3f, so the bytes match a printf writer's.  Nothing allocates.
+class ExportBuffer {
+ public:
+  explicit ExportBuffer(std::ostream& os) : os_(os) {}
+
+  ExportBuffer& lit(std::string_view s) {
+    if (s.size() > buf_.size() - len_) {
+      flush();
+      if (s.size() > buf_.size()) {
+        os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+        return *this;
+      }
+    }
+    std::memcpy(buf_.data() + len_, s.data(), s.size());
+    len_ += s.size();
+    return *this;
+  }
+  template <std::integral Int>
+  ExportBuffer& dec(Int v) {
+    return put(std::to_chars(room(), end(), v));
+  }
+  ExportBuffer& hex(std::uint64_t v) {
+    lit("0x");
+    return put(std::to_chars(room(), end(), v, 16));
+  }
+  ExportBuffer& g12(double v) {
+    return put(std::to_chars(room(), end(), v, std::chars_format::general, 12));
+  }
+  ExportBuffer& f3(double v) {
+    return put(std::to_chars(room(), end(), v, std::chars_format::fixed, 3));
+  }
+
+  void flush() {
+    os_.write(buf_.data(), static_cast<std::streamsize>(len_));
+    len_ = 0;
+  }
+
+ private:
+  /// Room for any one number, so to_chars never runs out: the longest is
+  /// DBL_MAX at %.3f, 313 characters.
+  static constexpr std::size_t kNumberRoom = 320;
+
+  char* room() {
+    if (buf_.size() - len_ < kNumberRoom) flush();
+    return buf_.data() + len_;
+  }
+  char* end() { return buf_.data() + buf_.size(); }
+  ExportBuffer& put(std::to_chars_result r) {
+    len_ = static_cast<std::size_t>(r.ptr - buf_.data());
+    return *this;
+  }
+
+  std::ostream& os_;
+  std::size_t len_ = 0;
+  std::array<char, 16 * 1024> buf_{};  ///< Large writes, little stack.
+};
+
+/// The generic track label ("host-3", "switch-5/port-2") used without a namer.
+void put_track_name(ExportBuffer& out, const Track& t) {
+  switch (t.kind) {
+    case TrackKind::kHost:
+      out.lit("host-").dec(t.id);
+      break;
+    case TrackKind::kSwitch:
+      out.lit("switch-").dec(t.id).lit("/port-").dec(t.sub);
+      break;
+    case TrackKind::kTenant:
+      out.lit("tenant-").dec(t.id);
+      break;
+    case TrackKind::kLink:
+      out.lit("link-").dec(t.id);
+      break;
+    case TrackKind::kFabric:
+      out.lit("fabric");
+      break;
+  }
+}
+
+/// The event's JSON args body (without braces); both exports share it.
+void put_args(ExportBuffer& out, const TraceEvent& ev) {
+  if (ev.pair.valid()) {
+    out.lit("\"pair\": \"").dec(ev.pair.src.value()).lit("->").dec(ev.pair.dst.value());
+    out.lit("\", ");
+  }
+  if (ev.tenant.valid()) out.lit("\"tenant\": ").dec(ev.tenant.value()).lit(", ");
+  if (ev.link.valid()) out.lit("\"link\": ").dec(ev.link.value()).lit(", ");
+  if (ev.seq != 0) out.lit("\"seq\": ").dec(ev.seq).lit(", ");
+  if (const char* detail = detail_of(ev)) out.lit("\"detail\": \"").lit(detail).lit("\", ");
+  out.lit("\"a\": ").g12(ev.a).lit(", \"b\": ").g12(ev.b);
 }
 
 }  // namespace
@@ -261,8 +318,12 @@ std::vector<const TraceEvent*> FlightRecorder::ordered() const {
       out.push_back(&r->buf[static_cast<std::size_t>(i % r->buf.size())]);
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent* a, const TraceEvent* b) { return a->at < b->at; });
+  const auto earlier = [](const TraceEvent* a, const TraceEvent* b) { return a->at < b->at; };
+  // One ring recorded in time order is the common case; a stable sort of a
+  // sorted range would change nothing.
+  if (!std::is_sorted(out.begin(), out.end(), earlier)) {
+    std::stable_sort(out.begin(), out.end(), earlier);
+  }
   return out;
 }
 
@@ -290,45 +351,49 @@ void FlightRecorder::clear() {
 
 void FlightRecorder::write_json(std::ostream& os) const {
   const std::vector<const TraceEvent*> evs = ordered();
-  os << "{\n  \"recorded_total\": " << recorded_total() << ",\n  \"events\": [\n";
-  char buf[160];
+  ExportBuffer out(os);
+  out.lit("{\n  \"recorded_total\": ").dec(recorded_total()).lit(",\n  \"events\": [\n");
   for (std::size_t i = 0; i < evs.size(); ++i) {
     const TraceEvent& ev = *evs[i];
-    std::snprintf(buf, sizeof(buf), "    {\"t_ns\": %lld, \"kind\": \"%s\", \"track\": \"%s\", ",
-                  static_cast<long long>(ev.at.ns()), to_string(ev.kind),
-                  default_track_name(ev.track).c_str());
-    os << buf << event_args_json(ev) << (i + 1 < evs.size() ? "},\n" : "}\n");
+    out.lit("    {\"t_ns\": ").dec(ev.at.ns()).lit(", \"kind\": \"").lit(to_string(ev.kind));
+    out.lit("\", \"track\": \"");
+    put_track_name(out, ev.track);
+    out.lit("\", ");
+    put_args(out, ev);
+    out.lit(i + 1 < evs.size() ? "},\n" : "}\n");
   }
-  os << "  ]\n}\n";
+  out.lit("  ]\n}\n");
+  out.flush();
 }
 
 void FlightRecorder::write_chrome_trace(std::ostream& os, const TrackNamer& namer,
                                         const Profiler* profiler, int shard_count) const {
   const std::vector<const TraceEvent*> evs = ordered();
+  ExportBuffer out(os);
   // Schema 2 = schema 1 plus profiler counter tracks (pid 6) and this
   // explicit version key; render_trace.py uses it to catch version-mixed
   // traces (e.g. prof.* counters spliced into an old schema-1 export).
-  os << "{\"ufab_schema\": 2, \"traceEvents\": [\n";
+  out.lit("{\"ufab_schema\": 2, \"traceEvents\": [\n");
 
   // Metadata: name every process group and every track that appears,
   // including the per-tenant counter tracks fed by window updates (below).
   std::map<std::pair<int, std::int64_t>, Track> tracks;
   std::set<int> pids;
+  const auto note_track = [&tracks, &pids](const Track& t) {
+    pids.insert(pid_of(t.kind));
+    tracks.try_emplace(std::make_pair(pid_of(t.kind), tid_of(t)), t);
+  };
   for (const TraceEvent* e : evs) {
-    const TraceEvent& ev = *e;
-    pids.insert(pid_of(ev.track.kind));
-    tracks.emplace(std::make_pair(pid_of(ev.track.kind), tid_of(ev.track)), ev.track);
-    if (ev.kind == EventKind::kWindowUpdate && ev.tenant.valid()) {
-      const Track tt = Track::tenant(ev.tenant);
-      pids.insert(pid_of(tt.kind));
-      tracks.emplace(std::make_pair(pid_of(tt.kind), tid_of(tt)), tt);
+    note_track(e->track);
+    if (e->kind == EventKind::kWindowUpdate && e->tenant.valid()) {
+      note_track(Track::tenant(e->tenant));
     }
   }
   bool first = true;
-  const auto emit = [&os, &first](const std::string& line) {
-    if (!first) os << ",\n";
+  const auto next = [&out, &first]() -> ExportBuffer& {
+    if (!first) out.lit(",\n");
     first = false;
-    os << line;
+    return out;
   };
   for (const int pid : pids) {
     const TrackKind kind = pid == 1   ? TrackKind::kHost
@@ -336,62 +401,57 @@ void FlightRecorder::write_chrome_trace(std::ostream& os, const TrackNamer& name
                            : pid == 3 ? TrackKind::kTenant
                            : pid == 4 ? TrackKind::kLink
                                       : TrackKind::kFabric;
-    emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " + std::to_string(pid) +
-         ", \"args\": {\"name\": \"" + pid_name(kind) + "\"}}");
+    next().lit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": ").dec(pid);
+    out.lit(", \"args\": {\"name\": \"").lit(pid_name(kind)).lit("\"}}");
   }
   for (const auto& [key, track] : tracks) {
-    const std::string name = namer ? namer(track) : default_track_name(track);
-    emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " + std::to_string(key.first) +
-         ", \"tid\": " + std::to_string(key.second) + ", \"args\": {\"name\": \"" +
-         json_escape(name) + "\"}}");
+    next().lit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": ").dec(key.first);
+    out.lit(", \"tid\": ").dec(key.second).lit(", \"args\": {\"name\": \"");
+    if (namer) {
+      out.lit(json_escape(namer(track)));
+    } else {
+      put_track_name(out, track);  // generic labels need no escaping
+    }
+    out.lit("\"}}");
   }
 
   // Events.  Probe-chain events become tiny slices joined by flow arrows so
   // chrome://tracing / Perfetto draws each probe's causal path end to end;
   // everything else is an instant on its track.
-  char head[256];
   for (const TraceEvent* e : evs) {
     const TraceEvent& ev = *e;
     const double ts_us = static_cast<double>(ev.at.ns()) / 1e3;
     const int pid = pid_of(ev.track.kind);
     const std::int64_t tid = tid_of(ev.track);
-    const std::string args = event_args_json(ev);
-    if (is_probe_chain(ev.kind) && ev.pair.valid()) {
-      std::snprintf(head, sizeof(head),
-                    "{\"name\": \"%s\", \"ph\": \"X\", \"pid\": %d, \"tid\": %lld, "
-                    "\"ts\": %.3f, \"dur\": 0.2, \"args\": {",
-                    to_string(ev.kind), pid, static_cast<long long>(tid), ts_us);
-      emit(std::string(head) + args + "}}");
-      const char flow_ph = ev.kind == EventKind::kProbeSent      ? 's'
-                           : ev.kind == EventKind::kWindowUpdate ? 'f'
-                                                                 : 't';
-      std::snprintf(head, sizeof(head),
-                    "{\"name\": \"probe\", \"cat\": \"probe\", \"ph\": \"%c\", \"id\": "
-                    "\"0x%llx\", \"pid\": %d, \"tid\": %lld, \"ts\": %.3f%s}",
-                    flow_ph, static_cast<unsigned long long>(flow_id(ev)), pid,
-                    static_cast<long long>(tid), ts_us,
-                    flow_ph == 'f' ? ", \"bp\": \"e\"" : "");
-      emit(head);
-    } else {
-      std::snprintf(head, sizeof(head),
-                    "{\"name\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \"pid\": %d, "
-                    "\"tid\": %lld, \"ts\": %.3f, \"args\": {",
-                    to_string(ev.kind), pid, static_cast<long long>(tid), ts_us);
-      emit(std::string(head) + args + "}}");
+    const bool chain = is_probe_chain(ev.kind) && ev.pair.valid();
+    next().lit("{\"name\": \"").lit(to_string(ev.kind));
+    out.lit(chain ? "\", \"ph\": \"X\", \"pid\": " : "\", \"ph\": \"i\", \"s\": \"t\", \"pid\": ");
+    out.dec(pid).lit(", \"tid\": ").dec(tid).lit(", \"ts\": ").f3(ts_us);
+    out.lit(chain ? ", \"dur\": 0.2, \"args\": {" : ", \"args\": {");
+    put_args(out, ev);
+    out.lit("}}");
+    if (chain) {
+      const bool last = ev.kind == EventKind::kWindowUpdate;
+      const char* flow_ph = ev.kind == EventKind::kProbeSent ? "s" : last ? "f" : "t";
+      next().lit("{\"name\": \"probe\", \"cat\": \"probe\", \"ph\": \"").lit(flow_ph);
+      out.lit("\", \"id\": \"").hex(flow_id(ev)).lit("\", \"pid\": ").dec(pid);
+      out.lit(", \"tid\": ").dec(tid).lit(", \"ts\": ").f3(ts_us);
+      out.lit(last ? ", \"bp\": \"e\"}" : "}");
     }
     // Tenant-track counter: the admitted window over time, one counter series
     // per tenant ("one track per tenant" in the exported view).
     if (ev.kind == EventKind::kWindowUpdate && ev.tenant.valid()) {
-      std::snprintf(head, sizeof(head),
-                    "{\"name\": \"window_bytes\", \"ph\": \"C\", \"pid\": %d, \"tid\": %lld, "
-                    "\"ts\": %.3f, \"args\": {\"window\": %.12g}}",
-                    pid_of(TrackKind::kTenant),
-                    static_cast<long long>(tid_of(Track::tenant(ev.tenant))), ts_us, ev.b);
-      emit(head);
+      next().lit("{\"name\": \"window_bytes\", \"ph\": \"C\", \"pid\": ");
+      out.dec(pid_of(TrackKind::kTenant)).lit(", \"tid\": ").dec(tid_of(Track::tenant(ev.tenant)));
+      out.lit(", \"ts\": ").f3(ts_us).lit(", \"args\": {\"window\": ").g12(ev.b).lit("}}");
     }
   }
-  if (profiler != nullptr) profiler->write_chrome_counter_events(os, first, shard_count);
-  os << "\n]}\n";
+  if (profiler != nullptr) {
+    out.flush();  // the profiler appends its counter tracks to the stream itself
+    profiler->write_chrome_counter_events(os, first, shard_count);
+  }
+  out.lit("\n]}\n");
+  out.flush();
 }
 
 }  // namespace ufab::obs

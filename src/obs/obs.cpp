@@ -64,13 +64,4 @@ void Obs::write_chrome_trace_file(const std::string& path) const {
   recorder_.write_chrome_trace(out, namer_, profiler_, profiler_shards_);
 }
 
-void Obs::write_events_json_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    UFAB_LOG_WARN("cannot open %s for event export", path.c_str());
-    return;
-  }
-  recorder_.write_json(out);
-}
-
 }  // namespace ufab::obs

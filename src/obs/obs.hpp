@@ -64,9 +64,8 @@ class Obs {
     profiler_shards_ = shard_count;
   }
 
-  /// Writes the Chrome trace / raw event JSON to `path` (truncating).
+  /// Writes the Chrome trace to `path` (truncating).
   void write_chrome_trace_file(const std::string& path) const;
-  void write_events_json_file(const std::string& path) const;
 
  private:
   ObsOptions opts_;

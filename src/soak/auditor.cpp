@@ -68,7 +68,7 @@ void InvariantAuditor::checkpoint() {
 
 void InvariantAuditor::final_audit() {
   char buf[192];
-  // After the workload stops and the drain grace elapses, every link queue
+  // After the workload stops and the drain ends, every link queue
   // must be empty — anything still queued is a packet the fabric lost track
   // of (recurring control timers carry no queued bytes).
   for (const sim::Link* l : fab_.net().links()) {

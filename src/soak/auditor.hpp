@@ -54,8 +54,10 @@ class InvariantAuditor {
   /// Periodic checks (pool ledger, pending bound, link-queue bounds).
   void checkpoint();
 
-  /// End-of-run checks, after traffic stopped and a drain grace elapsed:
-  /// link queues empty, no packets left in flight.
+  /// End-of-run checks, after traffic stopped and the drain ended: link
+  /// queues empty, no packets left in flight.  The runner drains for
+  /// SoakOptions::drain_grace, then one window at a time while packets are
+  /// still in flight, up to four graces; whatever is left then is flagged.
   void final_audit();
 
   /// Records an externally-checked post-condition failure (runner episodes).
@@ -69,9 +71,10 @@ class InvariantAuditor {
   [[nodiscard]] std::size_t peak_packets_in_flight() const { return peak_inflight_; }
   [[nodiscard]] std::size_t peak_pending_events() const { return peak_pending_; }
 
- private:
+  /// Fabric-wide pool packets allocated and not yet returned.
   [[nodiscard]] std::size_t packets_in_flight() const;
 
+ private:
   harness::Fabric& fab_;
   AuditorLimits limits_;
   std::vector<Violation> violations_;

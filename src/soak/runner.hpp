@@ -34,7 +34,9 @@ struct SoakOptions {
   // --- horizon ---
   TimeNs duration = TimeNs{3'600'000'000'000};  ///< Simulated traffic time (1 h).
   TimeNs window = TimeNs{1'000'000'000};        ///< SLO accounting window.
-  TimeNs drain_grace = TimeNs{2'000'000'000};   ///< Post-traffic drain before final audit.
+  /// Post-traffic drain before the final audit.  A drain still moving packets
+  /// at the grace goes on one window at a time, up to 4 x drain_grace.
+  TimeNs drain_grace = TimeNs{2'000'000'000};
 
   // --- stretched fabric (low rates => long horizons stay cheap) ---
   int n_leaf = 2;

@@ -1,15 +1,28 @@
-// FlightRecorder: ring semantics, causal slices, and export validity.
+// FlightRecorder: ring semantics, causal slices, and export validity; both
+// exports byte for byte against the printf writers they replaced.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <memory>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/shard_context.hpp"
+#include "src/harness/fabric.hpp"
 #include "src/obs/flight_recorder.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/profiler.hpp"
+#include "src/topo/builders.hpp"
+#include "src/ufab/edge_agent.hpp"
 #include "tests/temp_path.hpp"
 
 namespace ufab::obs {
@@ -263,6 +276,349 @@ TEST(FlightRecorder, RawJsonExportListsEveryEvent) {
   const std::string json = os.str();
   EXPECT_NE(json.find("probe_sent"), std::string::npos);
   EXPECT_NE(json.find("window_update"), std::string::npos);
+}
+
+// --- Reference: the printf writers the buffered exports replaced, kept as
+// they were (reading events() instead of the recorder's private pointer
+// view, which lists the same events in the same order).
+namespace ref {
+
+int pid_of(TrackKind kind) {
+  switch (kind) {
+    case TrackKind::kHost:
+      return 1;
+    case TrackKind::kSwitch:
+      return 2;
+    case TrackKind::kTenant:
+      return 3;
+    case TrackKind::kLink:
+      return 4;
+    case TrackKind::kFabric:
+      return 5;
+  }
+  return 5;
+}
+
+const char* pid_name(TrackKind kind) {
+  switch (kind) {
+    case TrackKind::kHost:
+      return "hosts";
+    case TrackKind::kSwitch:
+      return "switches";
+    case TrackKind::kTenant:
+      return "tenants";
+    case TrackKind::kLink:
+      return "links";
+    case TrackKind::kFabric:
+      return "fabric";
+  }
+  return "fabric";
+}
+
+std::int64_t tid_of(const Track& t) {
+  return static_cast<std::int64_t>(t.id + 1) * 1024 + (t.sub + 1);
+}
+
+std::string default_track_name(const Track& t) {
+  char buf[64];
+  switch (t.kind) {
+    case TrackKind::kHost:
+      std::snprintf(buf, sizeof(buf), "host-%d", t.id);
+      break;
+    case TrackKind::kSwitch:
+      std::snprintf(buf, sizeof(buf), "switch-%d/port-%d", t.id, t.sub);
+      break;
+    case TrackKind::kTenant:
+      std::snprintf(buf, sizeof(buf), "tenant-%d", t.id);
+      break;
+    case TrackKind::kLink:
+      std::snprintf(buf, sizeof(buf), "link-%d", t.id);
+      break;
+    case TrackKind::kFabric:
+      std::snprintf(buf, sizeof(buf), "fabric");
+      break;
+  }
+  return buf;
+}
+
+std::string pair_str(VmPairId pair) {
+  if (!pair.valid()) return "";
+  return std::to_string(pair.src.value()) + "->" + std::to_string(pair.dst.value());
+}
+
+std::uint64_t flow_id(const TraceEvent& ev) {
+  std::uint64_t x = ev.pair.key() ^ (ev.seq * 0x9e3779b97f4a7c15ULL);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  return x ^ (x >> 31);
+}
+
+bool is_probe_chain(EventKind kind) {
+  return kind == EventKind::kProbeSent || kind == EventKind::kProbeIntStamp ||
+         kind == EventKind::kProbeEchoed || kind == EventKind::kWindowUpdate;
+}
+
+std::string detail_str(const TraceEvent& ev) {
+  switch (ev.kind) {
+    case EventKind::kWindowUpdate:
+      return to_string(static_cast<WindowBound>(ev.detail));
+    case EventKind::kDrop:
+      return to_string(static_cast<DropReason>(ev.detail));
+    case EventKind::kIntTamper:
+      return ev.detail == 0 ? "stale" : ev.detail == 1 ? "corrupt" : "strip";
+    default:
+      return "";
+  }
+}
+
+std::string event_args_json(const TraceEvent& ev) {
+  char buf[128];
+  std::string args;
+  if (ev.pair.valid()) args += "\"pair\": \"" + pair_str(ev.pair) + "\", ";
+  if (ev.tenant.valid()) args += "\"tenant\": " + std::to_string(ev.tenant.value()) + ", ";
+  if (ev.link.valid()) args += "\"link\": " + std::to_string(ev.link.value()) + ", ";
+  if (ev.seq != 0) args += "\"seq\": " + std::to_string(ev.seq) + ", ";
+  const std::string detail = detail_str(ev);
+  if (!detail.empty()) args += "\"detail\": \"" + detail + "\", ";
+  std::snprintf(buf, sizeof(buf), "\"a\": %.12g, \"b\": %.12g", ev.a, ev.b);
+  args += buf;
+  return args;
+}
+
+void write_json(const FlightRecorder& rec, std::ostream& os) {
+  const std::vector<TraceEvent> evs = rec.events();
+  os << "{\n  \"recorded_total\": " << rec.recorded_total() << ",\n  \"events\": [\n";
+  char buf[160];
+  for (std::size_t i = 0; i < evs.size(); ++i) {
+    const TraceEvent& ev = evs[i];
+    std::snprintf(buf, sizeof(buf), "    {\"t_ns\": %lld, \"kind\": \"%s\", \"track\": \"%s\", ",
+                  static_cast<long long>(ev.at.ns()), to_string(ev.kind),
+                  default_track_name(ev.track).c_str());
+    os << buf << event_args_json(ev) << (i + 1 < evs.size() ? "},\n" : "}\n");
+  }
+  os << "  ]\n}\n";
+}
+
+void write_chrome_trace(const FlightRecorder& rec, std::ostream& os,
+                        const TrackNamer& namer = {}, const Profiler* profiler = nullptr,
+                        int shard_count = 0) {
+  const std::vector<TraceEvent> evs = rec.events();
+  os << "{\"ufab_schema\": 2, \"traceEvents\": [\n";
+  std::map<std::pair<int, std::int64_t>, Track> tracks;
+  std::set<int> pids;
+  for (const TraceEvent& ev : evs) {
+    pids.insert(pid_of(ev.track.kind));
+    tracks.emplace(std::make_pair(pid_of(ev.track.kind), tid_of(ev.track)), ev.track);
+    if (ev.kind == EventKind::kWindowUpdate && ev.tenant.valid()) {
+      const Track tt = Track::tenant(ev.tenant);
+      pids.insert(pid_of(tt.kind));
+      tracks.emplace(std::make_pair(pid_of(tt.kind), tid_of(tt)), tt);
+    }
+  }
+  bool first = true;
+  const auto emit = [&os, &first](const std::string& line) {
+    if (!first) os << ",\n";
+    first = false;
+    os << line;
+  };
+  for (const int pid : pids) {
+    const TrackKind kind = pid == 1   ? TrackKind::kHost
+                           : pid == 2 ? TrackKind::kSwitch
+                           : pid == 3 ? TrackKind::kTenant
+                           : pid == 4 ? TrackKind::kLink
+                                      : TrackKind::kFabric;
+    emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " + std::to_string(pid) +
+         ", \"args\": {\"name\": \"" + pid_name(kind) + "\"}}");
+  }
+  for (const auto& [key, track] : tracks) {
+    const std::string name = namer ? namer(track) : default_track_name(track);
+    emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " + std::to_string(key.first) +
+         ", \"tid\": " + std::to_string(key.second) + ", \"args\": {\"name\": \"" +
+         json_escape(name) + "\"}}");
+  }
+  char head[256];
+  for (const TraceEvent& ev : evs) {
+    const double ts_us = static_cast<double>(ev.at.ns()) / 1e3;
+    const int pid = pid_of(ev.track.kind);
+    const std::int64_t tid = tid_of(ev.track);
+    const std::string args = event_args_json(ev);
+    if (is_probe_chain(ev.kind) && ev.pair.valid()) {
+      std::snprintf(head, sizeof(head),
+                    "{\"name\": \"%s\", \"ph\": \"X\", \"pid\": %d, \"tid\": %lld, "
+                    "\"ts\": %.3f, \"dur\": 0.2, \"args\": {",
+                    to_string(ev.kind), pid, static_cast<long long>(tid), ts_us);
+      emit(std::string(head) + args + "}}");
+      const char flow_ph = ev.kind == EventKind::kProbeSent      ? 's'
+                           : ev.kind == EventKind::kWindowUpdate ? 'f'
+                                                                 : 't';
+      std::snprintf(head, sizeof(head),
+                    "{\"name\": \"probe\", \"cat\": \"probe\", \"ph\": \"%c\", \"id\": "
+                    "\"0x%llx\", \"pid\": %d, \"tid\": %lld, \"ts\": %.3f%s}",
+                    flow_ph, static_cast<unsigned long long>(flow_id(ev)), pid,
+                    static_cast<long long>(tid), ts_us,
+                    flow_ph == 'f' ? ", \"bp\": \"e\"" : "");
+      emit(head);
+    } else {
+      std::snprintf(head, sizeof(head),
+                    "{\"name\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \"pid\": %d, "
+                    "\"tid\": %lld, \"ts\": %.3f, \"args\": {",
+                    to_string(ev.kind), pid, static_cast<long long>(tid), ts_us);
+      emit(std::string(head) + args + "}}");
+    }
+    if (ev.kind == EventKind::kWindowUpdate && ev.tenant.valid()) {
+      std::snprintf(head, sizeof(head),
+                    "{\"name\": \"window_bytes\", \"ph\": \"C\", \"pid\": %d, \"tid\": %lld, "
+                    "\"ts\": %.3f, \"args\": {\"window\": %.12g}}",
+                    pid_of(TrackKind::kTenant),
+                    static_cast<long long>(tid_of(Track::tenant(ev.tenant))), ts_us, ev.b);
+      emit(head);
+    }
+  }
+  if (profiler != nullptr) profiler->write_chrome_counter_events(os, first, shard_count);
+  os << "\n]}\n";
+}
+
+}  // namespace ref
+
+template <typename F>
+std::string written(F&& write) {
+  std::ostringstream os;
+  write(os);
+  return os.str();
+}
+
+/// Every EventKind, sub-code, id validity, id range, seq, value and stamp edge
+/// the exports format, drawn in a seeded order onto two shard rings that each
+/// wrap, with stamps out of time order so the merge interleaves the rings.
+FlightRecorder scripted_recorder() {
+  FlightRecorder rec(300);
+  std::mt19937_64 rng(20261020);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values{0.0,    -0.0,     std::numeric_limits<double>::denorm_min(),
+                                   1e12 - 1, 1e12,   -3.25,
+                                   DBL_MAX, nan,      -nan,
+                                   inf,    -inf,     0.1,
+                                   123456789012.5, 1e-5, -2.5e300};
+  const std::vector<std::int64_t> stamps{0,         1,
+                                         999,       1000,
+                                         (std::int64_t{1} << 53) + 1,
+                                         std::numeric_limits<std::int64_t>::max()};
+  const std::vector<std::uint64_t> seqs{0, 1, std::numeric_limits<std::uint64_t>::max(),
+                                        0x9e3779b97f4a7c15ULL};
+  const std::vector<std::int32_t> ids{-1, -7, 0, 3, 1023, 99'999};
+  const int kinds = static_cast<int>(EventKind::kCheckFailure) + 1;
+  for (int i = 0; i < 1'200; ++i) {
+    TraceEvent ev;
+    ev.kind = static_cast<EventKind>(i % kinds);
+    // Sub-codes 0..4 cover every WindowBound, DropReason and tamper code plus
+    // one out of range for each; 255 is out of range for all of them.
+    ev.detail = static_cast<std::uint8_t>(i % 7 == 6 ? 255 : (i / kinds) % 5);
+    const auto id = [&rng, &ids] { return ids[rng() % ids.size()]; };
+    switch (rng() % 5) {
+      case 0:
+        ev.track = Track::host(HostId{id()});
+        break;
+      case 1:
+        ev.track = Track::switch_port(NodeId{id()}, id());
+        break;
+      case 2:
+        ev.track = Track::tenant(TenantId{id()});
+        break;
+      case 3:
+        ev.track = Track::link(LinkId{id()});
+        break;
+      default:
+        ev.track = Track{};
+        break;
+    }
+    if (rng() % 4 != 0) ev.pair = VmPairId{VmId{id()}, VmId{id()}};
+    if (rng() % 3 != 0) ev.tenant = TenantId{id()};
+    if (rng() % 3 != 0) ev.link = LinkId{id()};
+    ev.seq = rng() % 2 == 0 ? seqs[rng() % seqs.size()] : rng();
+    ev.a = rng() % 2 == 0 ? values[rng() % values.size()]
+                          : std::ldexp(static_cast<double>(rng()), static_cast<int>(rng() % 80) - 70);
+    ev.b = rng() % 2 == 0 ? values[rng() % values.size()]
+                          : -static_cast<double>(rng() % 1'000'000) / 7.0;
+    ev.at = TimeNs{rng() % 3 == 0 ? stamps[rng() % stamps.size()]
+                                  : static_cast<std::int64_t>(rng() % 5'000'000'000)};
+    ufab::tls_shard_index = static_cast<int>(rng() % 2);
+    rec.record(ev);
+  }
+  ufab::tls_shard_index = 0;
+  return rec;
+}
+
+TEST(FlightRecorder, ExportsMatchPrintfReferenceByteForByte) {
+  const FlightRecorder rec = scripted_recorder();
+  ASSERT_EQ(rec.size(), 600u);  // both rings full, both wrapped
+  // A namer whose labels need escaping, and one label longer than the
+  // export's buffer.
+  const TrackNamer namer = [](const Track& t) {
+    if (t.kind == TrackKind::kLink && t.id == 3) return std::string(40'000, 'x');
+    return "track \"" + std::to_string(t.id) + "\"\\\t/" + std::to_string(t.sub) + "\n";
+  };
+
+  const std::string json = written([&](std::ostream& os) { rec.write_json(os); });
+  EXPECT_EQ(json, written([&](std::ostream& os) { ref::write_json(rec, os); }));
+  const std::string plain = written([&](std::ostream& os) { rec.write_chrome_trace(os); });
+  EXPECT_EQ(plain, written([&](std::ostream& os) { ref::write_chrome_trace(rec, os); }));
+  const std::string named =
+      written([&](std::ostream& os) { rec.write_chrome_trace(os, namer); });
+  EXPECT_EQ(named, written([&](std::ostream& os) { ref::write_chrome_trace(rec, os, namer); }));
+  // The script reached the edges it was written for.
+  for (const char* text : {"\"detail\": \"?\"", "\"detail\": \"strip\"", "-nan", "-inf",
+                           "1e+12", "999999999999", "4.94065645841e-324",
+                           "9223372036854776.000", "9223372036854775807",
+                           "\"seq\": 18446744073709551615"}) {
+    EXPECT_TRUE(json.find(text) != std::string::npos || plain.find(text) != std::string::npos)
+        << text;
+  }
+  EXPECT_GT(json.size(), 16'384u * 4);  // several buffer flushes
+
+  const FlightRecorder empty(4);
+  EXPECT_EQ(written([&](std::ostream& os) { empty.write_json(os); }),
+            written([&](std::ostream& os) { ref::write_json(empty, os); }));
+  EXPECT_EQ(written([&](std::ostream& os) { empty.write_chrome_trace(os); }),
+            written([&](std::ostream& os) { ref::write_chrome_trace(empty, os); }));
+}
+
+TEST(FlightRecorder, ProfiledTraceMatchesPrintfReferenceByteForByte) {
+  // Two 4 Gbps VFs on a 2-leaf / 2-spine fabric with 4 shards, observability
+  // and the level-1 profiler on, as the profiler's own trace test builds it:
+  // the profiler appends its counter tracks after the buffered fabric events.
+  using namespace ufab::time_literals;
+  using namespace ufab::unit_literals;
+  harness::Fabric fab([](sim::Simulator& s) { return topo::make_leaf_spine(s, 2, 2, 2); }, 7);
+  fab.configure_sharding(4);
+  fab.enable_observability();
+  ProfOptions prof;
+  prof.level = 1;
+  fab.sim().enable_profiling(prof);
+  fab.instrument_cores({});
+  for (std::size_t h = 0; h < fab.net().host_count(); ++h) {
+    const HostId host{static_cast<std::int32_t>(h)};
+    fab.adopt_stack(host, std::make_unique<edge::EdgeAgent>(
+                              fab.net(), fab.vms(), host, edge::EdgeConfig{},
+                              transport::TransportOptions{}, fab.rng().fork(h)));
+  }
+  for (int i = 0; i < 2; ++i) {
+    const TenantId t = fab.vms().add_tenant("VF-" + std::to_string(i + 1), 4_Gbps);
+    fab.keep_backlogged(VmPairId{fab.vms().add_vm(t, HostId{i}), fab.vms().add_vm(t, HostId{2 + i})},
+                        0_ms, 8_ms);
+  }
+  fab.sim().run_until(8_ms);
+
+  Obs& obs = *fab.observability();
+  const Profiler* profiler = fab.sim().profiler();
+  const int shards = fab.sim().shard_count();
+  const std::string trace = written([&](std::ostream& os) {
+    obs.recorder().write_chrome_trace(os, obs.track_namer(), profiler, shards);
+  });
+  EXPECT_EQ(trace, written([&](std::ostream& os) {
+              ref::write_chrome_trace(obs.recorder(), os, obs.track_namer(), profiler, shards);
+            }));
+  EXPECT_NE(trace.find("prof.queue_depth[s0]"), std::string::npos);
+  EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
 }
 
 }  // namespace
